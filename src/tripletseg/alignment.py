@@ -299,6 +299,8 @@ def align_frames(
     output record. With ``jobs > 1`` videos are aligned in parallel; the
     merge is sorted, so the result is identical for any worker count.
     """
+    if jobs < 1:
+        raise AlignmentError("jobs must be at least 1")
     _check_stream_order([(f.video_id, f.frame_id) for f in labels], "label")
     _check_stream_order([(f.video_id, f.frame_id) for f in masks], "mask")
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, dataset_io, evaluation, fusion, stats
-from .errors import TripletSegError
+from .errors import DatasetError, TripletSegError
 from .schema import COMPONENTS, load_schema
 
 log = logging.getLogger("tripletseg")
@@ -141,7 +141,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise TripletSegError("both --values-a and --values-b are required")
         series = []
         for path in (args.values_a, args.values_b):
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            try:
+                doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
             if not isinstance(doc, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
             ):
@@ -178,17 +181,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         partition = stats.partition_frames(
             frame_keys, args.n_subsets, args.subset_size, args.seed
         )
-        values_a, values_b = [], []
-        for subset in partition.subsets:
-            subset_keys = set(subset)
-            rep_a = evaluation.evaluate_subset(
-                frames, preds_a, subset_keys, config, schema
-            )
-            rep_b = evaluation.evaluate_subset(
-                frames, preds_b, subset_keys, config, schema
-            )
-            values_a.append(rep_a.components[component].mAP)
-            values_b.append(rep_b.components[component].mAP)
+        # match each method once, on the frames the subsets cover, then
+        # score every subset from its table
+        used = {key for subset in partition.subsets for key in subset}
+        tables = [
+            evaluation.match(frames, preds, config, schema, frames=used)
+            for preds in (preds_a, preds_b)
+        ]
+        values_a, values_b = (
+            [evaluation.score(t, s).components[component].mAP for s in partition.subsets]
+            for t in tables
+        )
         metric = f"mAP_{evaluation.COMPONENT_LABELS[component]}_{args.mode}"
         n_subsets = args.n_subsets
         subset_size = args.subset_size

@@ -182,10 +182,7 @@ def parse_video_file(
     ``require_triplet_field=False`` accepts mask-stream files, which share
     the shape but omit triplet assignments.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -406,10 +403,7 @@ def read_predictions(
     if mode not in ("seg", "det", "rec"):
         raise DatasetError(f"unknown mode {mode!r}")
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,24 +1,30 @@
 """Evaluation protocol: matching, average precision, component decomposition.
 
-Three modes share one report shape. Segmentation and detection modes match
-scored predictions to ground-truth instances per frame (mask IoU or box
-IoU at a threshold) and score each component class by average precision.
-Recognition mode ranks frame-level class scores against frame-level
-labels. Components project the triplet vocabulary onto instrument, verb,
-target, the two pairs, and the full triplet space.
+Three modes share one report shape and one two-stage pipeline. Stage 1,
+``match``, reduces the input to a ``MatchTable`` on dense class indices.
+Segmentation and detection modes match scored predictions to
+ground-truth instances per frame (mask IoU or box IoU at a threshold),
+one row per prediction. Recognition mode ranks frame-level class scores
+against frame-level labels, one row per frame and class. Stage 2,
+``score``, computes every class AP from the table, pooled or per video,
+over all frames or any subset of them. Components project the triplet
+vocabulary onto instrument, verb, target, the two pairs, and the full
+triplet space.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
-from .errors import EvaluationError
+from .errors import EvaluationError, SchemaError
 from .masks import BBox, RleMask, box_iou, mask_iou, mask_to_bbox
 from .schema import COMPONENTS, ComponentKey, TripletSchema
 
@@ -89,9 +95,7 @@ class EvalReport:
 
     def to_json_dict(self) -> dict[str, Any]:
         def class_key(key: ComponentKey) -> str:
-            if isinstance(key, tuple):
-                return ",".join(str(k) for k in key)
-            return str(key)
+            return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
         return {
             "mode": self.mode,
@@ -102,12 +106,7 @@ class EvalReport:
             "components": {
                 COMPONENT_LABELS[comp]: {
                     "mAP": res.mAP,
-                    "per_class": {
-                        class_key(k): v for k, v in sorted(
-                            res.per_class.items(),
-                            key=lambda kv: (kv[0],) if isinstance(kv[0], int) else kv[0],
-                        )
-                    },
+                    "per_class": {class_key(k): v for k, v in res.per_class.items()},
                     "gt_count": res.gt_count,
                     "pred_count": res.pred_count,
                 }
@@ -132,52 +131,34 @@ class EvalReport:
         return f"{meta}\n{line1}\n{line2}"
 
 
-def match_frame(
-    preds: Sequence[tuple[float, Any]],
-    gts: Sequence[Any],
-    iou_threshold: float,
-    iou_fn,
-) -> list[bool]:
-    """Greedy one-to-one matching of score-sorted predictions to GT.
+def match_from_matrix(matrix: np.ndarray, iou_threshold: float) -> list[bool]:
+    """Greedy one-to-one matching on a predictions × GT IoU matrix.
 
-    ``preds`` must already be sorted by descending score (ties resolved by
+    Rows must already be in descending score order (ties resolved by
     input order). Each prediction takes the unmatched ground truth with
     the highest IoU at or above the threshold; IoU ties go to the lowest
     GT index.
     """
-    matrix = np.zeros((len(preds), len(gts)), dtype=np.float64)
-    for p_idx, (_, p_geom) in enumerate(preds):
-        for g_idx, g_geom in enumerate(gts):
-            matrix[p_idx, g_idx] = iou_fn(p_geom, g_geom)
-    return _match_from_matrix(matrix, iou_threshold)
-
-
-def _match_from_matrix(matrix: np.ndarray, iou_threshold: float) -> list[bool]:
-    n_preds, n_gts = matrix.shape
-    taken = np.zeros(n_gts, dtype=bool)
+    taken: set[int] = set()
     flags = []
-    for p_idx in range(n_preds):
+    for row in np.asarray(matrix, dtype=np.float64).tolist():
         best_g = -1
         best_iou = 0.0
-        for g_idx in range(n_gts):
-            if taken[g_idx]:
-                continue
-            iou = matrix[p_idx, g_idx]
-            if iou >= iou_threshold and iou > best_iou:
+        for g_idx, iou in enumerate(row):
+            if iou >= iou_threshold and iou > best_iou and g_idx not in taken:
                 best_iou = iou
                 best_g = g_idx
         if best_g >= 0:
-            taken[best_g] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+            taken.add(best_g)
+        flags.append(best_g >= 0)
     return flags
 
 
 def average_precision(
-    scored_flags: Sequence[tuple[float, bool]], gt_count: int, method: str
+    scored_flags: Sequence[tuple[float, bool]] | np.ndarray, gt_count: int, method: str
 ) -> float:
-    """AP in [0, 1] from (score, is_true_positive) pairs.
+    """AP in [0, 1] from (score, is_true_positive) pairs, given as a
+    sequence of pairs or as an (n, 2) array.
 
     ``envelope`` integrates the monotone precision envelope (detection
     convention); ``step`` sums raw precision at each recall increment
@@ -188,12 +169,11 @@ def average_precision(
         raise EvaluationError(f"unknown AP method {method!r}")
     if gt_count < 1:
         raise EvaluationError("average precision needs at least one GT item")
-    if not scored_flags:
+    pairs = np.asarray(scored_flags, dtype=np.float64).reshape(-1, 2)
+    if not len(pairs):
         return 0.0
-    scores = np.array([s for s, _ in scored_flags], dtype=np.float64)
-    flags = np.array([f for _, f in scored_flags], dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    tp = flags[order]
+    order = np.argsort(-pairs[:, 0], kind="stable")
+    tp = pairs[order, 1] != 0.0
     tp_cum = np.cumsum(tp, dtype=np.float64)
     precision = tp_cum / np.arange(1, len(tp) + 1, dtype=np.float64)
     if method == "envelope":
@@ -224,233 +204,163 @@ def _pred_geometry(det: DetectionRecord, mode: str) -> RleMask | BBox:
     return mask_to_bbox(det.mask)
 
 
-# One frame of matching work: GT and predictions already reduced to
-# (triplet_id, geometry) and (triplet_id, score, geometry).
-_FrameTask = tuple[
-    FrameKey,
-    list[tuple[int, Any]],
-    list[tuple[int, float, Any]],
-]
+@dataclass(frozen=True)
+class ClassRows:
+    """One component of a match table, on dense class indices. Scored rows
+    (``frame``, ``cls``, ``score``, ``tp``) follow the table's frame order,
+    and input order within a frame; ground truth is one (``gt_frame``,
+    ``gt_cls``) entry per GT item."""
+
+    frame: np.ndarray
+    cls: np.ndarray
+    score: np.ndarray
+    tp: np.ndarray
+    gt_frame: np.ndarray
+    gt_cls: np.ndarray
 
 
-def _match_one_frame(
-    task: _FrameTask,
-    components: tuple[str, ...],
-    iou_threshold: float,
-    mode: str,
-    schema: TripletSchema,
-) -> dict[tuple[str, ComponentKey], tuple[list[float], list[bool], int]]:
-    """Match every component class of one frame against one shared IoU
-    matrix, computed once per (prediction, GT) pair."""
-    _, gts, preds = task
-    iou_fn = mask_iou if mode == "seg" else box_iou
-    matrix = np.zeros((len(preds), len(gts)), dtype=np.float64)
-    for p_idx, (_, _, p_geom) in enumerate(preds):
-        for g_idx, (_, g_geom) in enumerate(gts):
-            matrix[p_idx, g_idx] = iou_fn(p_geom, g_geom)
+@dataclass(frozen=True)
+class MatchTable:
+    """Stage-1 output. ``frames`` lists the frame keys in row order: sorted,
+    with prediction-only frames, in seg/det mode; ground-truth order in rec
+    mode. ``frame_preds`` counts each frame's prediction records and
+    ``n_preds`` all records matched, including those on unknown frames."""
 
-    out: dict[tuple[str, ComponentKey], tuple[list[float], list[bool], int]] = {}
-    for comp in components:
-        gt_keys = [schema.project(tid, comp) for tid, _ in gts]
-        pred_keys = [schema.project(tid, comp) for tid, _, _ in preds]
-        for key in sorted(set(gt_keys) | set(pred_keys),
-                          key=lambda k: (k,) if isinstance(k, int) else k):
-            g_idx = [i for i, k in enumerate(gt_keys) if k == key]
-            p_idx = [i for i, k in enumerate(pred_keys) if k == key]
-            # stable: ties on score keep input order
-            p_idx.sort(key=lambda i: (-preds[i][1], i))
-            flags = _match_from_matrix(
-                matrix[np.ix_(p_idx, g_idx)], iou_threshold
-            )
-            out[(comp, key)] = (
-                [preds[i][1] for i in p_idx],
-                flags,
-                len(g_idx),
-            )
+    config: EvalConfig
+    class_keys: dict[str, tuple[ComponentKey, ...]]
+    frames: list[FrameKey]
+    in_gt: np.ndarray
+    frame_preds: np.ndarray
+    n_preds: int
+    rows: dict[str, ClassRows]
+
+
+def _class_indices(
+    schema: TripletSchema, triplet_ids: Sequence[int], component: str
+) -> np.ndarray:
+    """Dense class index of each triplet id; ids outside the schema raise."""
+    table = np.array(schema.class_index[component], dtype=np.int64)
+    ids = np.asarray(triplet_ids, dtype=np.int64)
+    known = (ids >= 0) & (ids < len(table))
+    out = np.full(ids.shape, -1, dtype=np.int64)
+    out[known] = table[ids[known]]
+    if (out < 0).any():
+        raise SchemaError(f"unknown triplet_id {ids[out < 0][0]}")
     return out
 
 
-def _match_chunk(args):
-    tasks, components, iou_threshold, mode, schema = args
-    return [
-        _match_one_frame(t, components, iou_threshold, mode, schema)
-        for t in tasks
-    ]
+def _frame_tp(
+    gts: list[Any], gt_cls: np.ndarray, preds: list[Any], scores: np.ndarray,
+    pred_cls: np.ndarray, iou_fn, iou_threshold: float,
+) -> np.ndarray:
+    """TP flags (predictions × components) of one frame, from one IoU
+    matrix computed once per (prediction, GT) pair. Zeroing the pairs of
+    different classes lets one greedy pass per component match all of its
+    classes: the threshold is positive, so a zeroed pair never matches."""
+    tp = np.zeros(pred_cls.shape, dtype=bool)
+    if not gts or not preds:
+        return tp
+    order = np.argsort(-scores, kind="stable")  # ties on score keep input order
+    iou = np.array([[iou_fn(preds[p], g) for g in gts] for p in order])
+    for c in range(pred_cls.shape[1]):
+        same = pred_cls[order, c][:, None] == gt_cls[None, :, c]
+        tp[order, c] = match_from_matrix(np.where(same, iou, 0.0), iou_threshold)
+    return tp
 
 
-def _class_ap(
-    frames_data: list[tuple[str, list[float], list[bool], int]],
-    averaging: str,
-    method: str,
-) -> float | None:
-    """AP of one class from per-frame (video, scores, flags, n_gt) rows.
-
-    Pooled: one ranking over all frames. Per-video: AP per video holding
-    ground truth of the class, then the mean over those videos. Returns
-    None when the class has no ground truth anywhere.
-    """
-    if averaging == "pooled":
-        gt_count = sum(n for _, _, _, n in frames_data)
-        if gt_count == 0:
-            return None
-        pooled = [
-            (s, f)
-            for _, scores, flags, _ in frames_data
-            for s, f in zip(scores, flags)
-        ]
-        return average_precision(pooled, gt_count, method)
-    by_video: dict[str, list[tuple[str, list[float], list[bool], int]]] = {}
-    for row in frames_data:
-        by_video.setdefault(row[0], []).append(row)
-    video_aps = []
-    for vid in sorted(by_video):
-        rows = by_video[vid]
-        gt_count = sum(n for _, _, _, n in rows)
-        if gt_count == 0:
-            continue
-        pooled = [
-            (s, f) for _, scores, flags, _ in rows for s, f in zip(scores, flags)
-        ]
-        video_aps.append(average_precision(pooled, gt_count, method))
-    if not video_aps:
-        return None
-    return float(np.mean(video_aps))
+def _chunk_tp(tasks: list[tuple], mode: str, iou_threshold: float) -> np.ndarray:
+    """TP flags of the prediction rows of consecutive frames."""
+    iou_fn = mask_iou if mode == "seg" else box_iou
+    return np.concatenate([_frame_tp(*t, iou_fn, iou_threshold) for t in tasks])
 
 
-def evaluate_grounded(
-    gt_frames: Sequence[FrameRecord],
-    preds: Sequence[DetectionRecord],
-    config: EvalConfig,
-    schema: TripletSchema,
-) -> EvalReport:
-    """Instance-grounded evaluation (seg or det mode).
-
-    Ground truth consists of the grounded instances (those carrying a
+def _match_grounded(
+    gt_frames: Sequence[FrameRecord], preds: Sequence[DetectionRecord],
+    config: EvalConfig, schema: TripletSchema,
+) -> MatchTable:
+    """Ground truth consists of the grounded instances (those carrying a
     triplet assignment). Predictions on frames absent from the ground
     truth are warned about and scored as false positives in their stated
-    frame. With ``config.jobs > 1`` frames are matched in parallel; the
-    merge order is fixed, so reports are identical for any worker count.
-    """
-    if config.mode not in ("seg", "det"):
-        raise EvaluationError(f"evaluate_grounded cannot run mode {config.mode!r}")
-
+    frame. With ``config.jobs > 1`` frames are matched in parallel."""
     gt_by_frame: dict[FrameKey, list[tuple[int, Any]]] = {}
     for rec in gt_frames:
-        key = (rec.video_id, rec.frame_id)
-        items = []
-        for g in rec.instances:
-            if g.triplet_id is None:
-                continue
-            geom = g.mask if config.mode == "seg" else mask_to_bbox(g.mask)
-            items.append((g.triplet_id, geom))
-        gt_by_frame[key] = items
-
+        gt_by_frame[(rec.video_id, rec.frame_id)] = [
+            (g.triplet_id, g.mask if config.mode == "seg" else mask_to_bbox(g.mask))
+            for g in rec.instances
+            if g.triplet_id is not None
+        ]
     preds_by_frame: dict[FrameKey, list[tuple[int, float, Any]]] = {}
-    unknown: set[FrameKey] = set()
     for det in preds:
-        key = (det.video_id, det.frame_id)
-        if key not in gt_by_frame:
-            unknown.add(key)
-        preds_by_frame.setdefault(key, []).append(
+        preds_by_frame.setdefault((det.video_id, det.frame_id), []).append(
             (det.triplet_id, det.score, _pred_geometry(det, config.mode))
         )
+    unknown = preds_by_frame.keys() - gt_by_frame.keys()
     if unknown:
-        sample = sorted(unknown)[:5]
         log.warning(
             "%d predicted frame(s) absent from ground truth (e.g. %s); "
             "their predictions score as false positives",
-            len(unknown), sample,
+            len(unknown), sorted(unknown)[:5],
         )
 
-    all_keys = sorted(set(gt_by_frame) | set(preds_by_frame))
-    tasks: list[_FrameTask] = [
-        (key, gt_by_frame.get(key, []), preds_by_frame.get(key, []))
-        for key in all_keys
-    ]
+    keys = sorted(gt_by_frame.keys() | preds_by_frame.keys())
+    gts = [gt_by_frame.get(k, []) for k in keys]
+    dets = [preds_by_frame.get(k, []) for k in keys]
+    n_gt = np.array([len(g) for g in gts], dtype=np.int64)
+    n_pred = np.array([len(d) for d in dets], dtype=np.int64)
 
-    if config.jobs > 1 and len(tasks) > 1:
-        n_chunks = min(len(tasks), config.jobs * 4)
-        bounds = np.linspace(0, len(tasks), n_chunks + 1).astype(int)
-        chunks = [
-            (
-                tasks[bounds[c]:bounds[c + 1]],
-                config.components,
-                config.iou_threshold,
-                config.mode,
-                schema,
-            )
-            for c in range(n_chunks)
-            if bounds[c] < bounds[c + 1]
-        ]
+    def classes(tids: list[int]) -> np.ndarray:  # (items, components)
+        return np.stack([_class_indices(schema, tids, c) for c in config.components], axis=1)
+
+    gt_cls = classes([tid for g in gts for tid, _ in g])
+    pred_cls = classes([tid for d in dets for tid, _, _ in d])
+    scores = np.array([s for d in dets for _, s, _ in d], dtype=np.float64)
+    gt_cuts, pred_cuts = np.cumsum(n_gt)[:-1], np.cumsum(n_pred)[:-1]
+    tasks = list(zip(
+        [[geom for _, geom in g] for g in gts], np.split(gt_cls, gt_cuts),
+        [[geom for _, _, geom in d] for d in dets], np.split(scores, pred_cuts),
+        np.split(pred_cls, pred_cuts),
+    ))
+
+    # the pool covers matching only; chunks come back in frame order, so
+    # the table is identical for any worker count
+    n_chunks = min(len(tasks), config.jobs * 4) if config.jobs > 1 else 1
+    bounds = np.linspace(0, len(tasks), n_chunks + 1).astype(int)
+    chunks = [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    args = (_chunk_tp, chunks, repeat(config.mode), repeat(config.iou_threshold))
+    if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunk_results = list(pool.map(_match_chunk, chunks))
-        frame_results = [r for chunk in chunk_results for r in chunk]
+            parts = list(pool.map(*args))
     else:
-        frame_results = [
-            _match_one_frame(
-                t, config.components, config.iou_threshold, config.mode, schema
-            )
-            for t in tasks
-        ]
+        parts = list(map(*args))
+    tp = np.concatenate([np.zeros((0, len(config.components)), dtype=bool), *parts])
 
-    # merge per-frame match results in frame-key order
-    merged: dict[tuple[str, ComponentKey], list[tuple[str, list[float], list[bool], int]]] = {}
-    for key, result in zip(all_keys, frame_results):
-        for comp_key, (scores, flags, n_gt) in result.items():
-            merged.setdefault(comp_key, []).append((key[0], scores, flags, n_gt))
-
-    method = config.resolved_ap_method
-    total_gt = sum(len(items) for items in gt_by_frame.values())
-    components: dict[str, ComponentResult] = {}
-    for comp in config.components:
-        per_class: dict[ComponentKey, float] = {}
-        for (c, class_key), frames_data in merged.items():
-            if c != comp:
-                continue
-            ap = _class_ap(frames_data, config.averaging, method)
-            if ap is not None:
-                per_class[class_key] = ap * 100.0
-        m_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
-        components[comp] = ComponentResult(
-            mAP=m_ap,
-            per_class=per_class,
-            gt_count=total_gt,
-            pred_count=len(preds),
-        )
-
-    return EvalReport(
-        mode=config.mode,
-        iou_threshold=config.iou_threshold,
-        averaging=config.averaging,
-        ap_method=method,
-        frame_count=len(gt_by_frame),
-        components=components,
-    )
+    frame = np.repeat(np.arange(len(keys)), n_pred)
+    gt_frame = np.repeat(np.arange(len(keys)), n_gt)
+    rows = {
+        comp: ClassRows(frame, pred_cls[:, c], scores, tp[:, c], gt_frame, gt_cls[:, c])
+        for c, comp in enumerate(config.components)
+    }
+    in_gt = np.array([k in gt_by_frame for k in keys], dtype=bool)
+    return MatchTable(config, schema.class_keys, keys, in_gt, n_pred, len(preds), rows)
 
 
-def evaluate_recognition(
-    gt_frames: Sequence[FrameRecord],
-    preds: Sequence[RecognitionRecord],
-    config: EvalConfig,
-    schema: TripletSchema,
-) -> EvalReport:
-    """Frame-level recognition evaluation.
-
-    A frame's class score is the maximum over the scores of triplets
+def _match_recognition(
+    gt_frames: Sequence[FrameRecord], preds: Sequence[RecognitionRecord],
+    config: EvalConfig, schema: TripletSchema,
+) -> MatchTable:
+    """A frame's class score is the maximum over the scores of triplets
     projecting to the class; its label is positive iff any frame-level
     triplet projects to the class. Frames without a prediction record
     score zero everywhere; records for unknown frames are warned about
-    and ignored.
-    """
-    if config.mode != "rec":
-        raise EvaluationError(f"evaluate_recognition cannot run mode {config.mode!r}")
-
+    and ignored."""
     keys = [(r.video_id, r.frame_id) for r in gt_frames]
     key_index = {k: i for i, k in enumerate(keys)}
     if len(key_index) != len(keys):
         raise EvaluationError("duplicate (video_id, frame_id) in ground truth")
 
-    scores = np.zeros((len(keys), schema.n_triplets), dtype=np.float64)
+    n_frames = len(keys)
+    scores = np.zeros((n_frames, schema.n_triplets), dtype=np.float64)
+    frame_preds = np.zeros(n_frames, dtype=np.int64)
     seen: set[FrameKey] = set()
     unknown: set[FrameKey] = set()
     for rec in preds:
@@ -463,82 +373,162 @@ def evaluate_recognition(
             unknown.add(key)
             continue
         scores[idx] = rec.scores
+        frame_preds[idx] = 1
     if unknown:
-        sample = sorted(unknown)[:5]
         log.warning(
             "%d recognition record(s) for frames absent from ground truth "
-            "(e.g. %s); ignored", len(unknown), sample,
+            "(e.g. %s); ignored", len(unknown), sorted(unknown)[:5],
         )
 
-    method = config.resolved_ap_method
-    videos = [k[0] for k in keys]
-    components: dict[str, ComponentResult] = {}
+    tids = np.array(sorted(schema.triplets), dtype=np.int64)
+    label_tids = [t for r in gt_frames for t in r.frame_triplets]
+    label_frame = np.repeat(np.arange(n_frames), [len(r.frame_triplets) for r in gt_frames])
+    rows = {}
     for comp in config.components:
-        # triplet ids projecting to each component class
-        members: dict[ComponentKey, list[int]] = {}
-        for tid in sorted(schema.triplets):
-            members.setdefault(schema.project(tid, comp), []).append(tid)
-        positive_sets = [
-            {schema.project(t, comp) for t in rec.frame_triplets}
-            for rec in gt_frames
-        ]
-
-        per_class: dict[ComponentKey, float] = {}
-        gt_count = 0
-        for class_key in sorted(members, key=lambda k: (k,) if isinstance(k, int) else k):
-            tids = members[class_key]
-            class_scores = scores[:, tids].max(axis=1)
-            labels = np.array(
-                [class_key in pos for pos in positive_sets], dtype=bool
-            )
-            n_pos = int(labels.sum())
-            gt_count += n_pos
-            if n_pos == 0:
-                continue
-            frames_data = [
-                (videos[i], [float(class_scores[i])], [bool(labels[i])], int(labels[i]))
-                for i in range(len(keys))
-            ]
-            ap = _class_ap(frames_data, config.averaging, method)
-            if ap is not None:
-                per_class[class_key] = ap * 100.0
-        m_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
-        components[comp] = ComponentResult(
-            mAP=m_ap,
-            per_class=per_class,
-            gt_count=gt_count,
-            pred_count=len(preds),
+        n_cls = len(schema.class_keys[comp])
+        cls = _class_indices(schema, tids, comp)
+        by_class = np.argsort(cls, kind="stable")
+        class_scores = np.maximum.reduceat(
+            scores[:, tids[by_class]], np.searchsorted(cls[by_class], np.arange(n_cls)), axis=1
         )
+        labels = np.zeros((n_frames, n_cls), dtype=bool)
+        labels[label_frame, _class_indices(schema, label_tids, comp)] = True
+        rows[comp] = ClassRows(
+            np.repeat(np.arange(n_frames), n_cls), np.tile(np.arange(n_cls), n_frames),
+            class_scores.ravel(), labels.ravel(), *np.nonzero(labels),
+        )
+    in_gt = np.ones(n_frames, dtype=bool)
+    return MatchTable(config, schema.class_keys, keys, in_gt, frame_preds, len(preds), rows)
 
-    return EvalReport(
-        mode="rec",
-        iou_threshold=config.iou_threshold,
-        averaging=config.averaging,
-        ap_method=method,
-        frame_count=len(gt_frames),
-        components=components,
+
+def match(
+    gt_frames: Sequence[FrameRecord],
+    preds: Sequence[DetectionRecord] | Sequence[RecognitionRecord],
+    config: EvalConfig,
+    schema: TripletSchema,
+    frames: Collection[FrameKey] | None = None,
+) -> MatchTable:
+    """Stage 1: match predictions to ground truth in the config's mode.
+    With ``frames`` given, only those frames are matched."""
+    if frames is not None:
+        wanted = set(frames)
+        gt_frames = [r for r in gt_frames if (r.video_id, r.frame_id) in wanted]
+        preds = [p for p in preds if (p.video_id, p.frame_id) in wanted]
+    if config.mode == "rec":
+        return _match_recognition(gt_frames, preds, config, schema)
+    return _match_grounded(gt_frames, preds, config, schema)
+
+
+def _score_component(
+    rows: ClassRows, keys: tuple[ComponentKey, ...], selected: np.ndarray,
+    group: np.ndarray, n_groups: int, method: str, pred_count: int,
+) -> ComponentResult:
+    """Every class AP of one component over the selected frames, ranking
+    each (class, group) bucket once; groups are videos or one pool."""
+    keep = selected[rows.frame]
+    frame, cls = rows.frame[keep], rows.cls[keep]
+    pairs = np.column_stack((rows.score[keep], rows.tp[keep]))
+    gt_keep = selected[rows.gt_frame]
+    gt_frame, gt_cls = rows.gt_frame[gt_keep], rows.gt_cls[gt_keep]
+
+    # rows bucketed by (class, group); the stable sort keeps row order
+    # within a bucket, so each ranking ties exactly as in the frame sequence
+    n_buckets = len(keys) * n_groups
+    bucket = cls * n_groups + group[frame]
+    order = np.argsort(bucket, kind="stable")
+    bounds = np.searchsorted(bucket[order], np.arange(n_buckets + 1))
+    gt = np.bincount(
+        gt_cls * n_groups + group[gt_frame], minlength=n_buckets
+    ).reshape(len(keys), n_groups)
+
+    aps: dict[int, float] = {}
+    for k in np.flatnonzero(gt.sum(axis=1)):
+        group_aps = []
+        for g in np.flatnonzero(gt[k]):
+            b = k * n_groups + g
+            ranked = pairs[order[bounds[b]:bounds[b + 1]]]
+            group_aps.append(average_precision(ranked, int(gt[k, g]), method))
+        aps[int(k)] = float(np.mean(group_aps)) * 100.0
+
+    # mAP averages classes in order of their first frame, then class index;
+    # the summation order fixes the last bit of the report's mAP
+    first = np.full(len(keys), len(selected))
+    np.minimum.at(first, cls, frame)
+    np.minimum.at(first, gt_cls, gt_frame)
+    in_order = sorted(aps, key=lambda k: (first[k], k))
+    return ComponentResult(
+        mAP=float(np.mean([aps[k] for k in in_order])) if aps else 0.0,
+        per_class={keys[k]: ap for k, ap in aps.items()},
+        gt_count=len(gt_frame),
+        pred_count=pred_count,
     )
 
 
-def evaluate_subset(
+def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> EvalReport:
+    """Stage 2: the report of a match table over all of its frames, or over
+    ``frames`` only, which must be ground-truth frames of the table.
+    Pooled averaging ranks each class over all selected frames; per-video
+    averaging takes the mean AP over the videos holding the class."""
+    config = table.config
+    if frames is None:
+        selected = np.ones(len(table.frames), dtype=bool)
+        pred_count = table.n_preds
+    else:
+        wanted = set(frames)
+        position = {k: i for i, k in enumerate(table.frames) if table.in_gt[i]}
+        missing = wanted - position.keys()
+        if missing:
+            raise EvaluationError(
+                f"subset frames not in ground truth: {sorted(missing)[:5]}"
+            )
+        selected = np.zeros(len(table.frames), dtype=bool)
+        selected[[position[k] for k in wanted]] = True
+        pred_count = int(table.frame_preds[selected].sum())
+
+    if config.averaging == "per_video":
+        videos, group = np.unique([vid for vid, _ in table.frames], return_inverse=True)
+        n_groups = len(videos)
+    else:
+        group, n_groups = np.zeros(len(table.frames), dtype=np.int64), 1
+    method = config.resolved_ap_method
+    return EvalReport(
+        mode=config.mode,
+        iou_threshold=config.iou_threshold,
+        averaging=config.averaging,
+        ap_method=method,
+        frame_count=int((selected & table.in_gt).sum()),
+        components={
+            comp: _score_component(
+                table.rows[comp], table.class_keys[comp], selected, group,
+                n_groups, method, pred_count,
+            )
+            for comp in config.components
+        },
+    )
+
+
+def evaluate_grounded(
     gt_frames: Sequence[FrameRecord],
-    preds: Sequence[DetectionRecord] | Sequence[RecognitionRecord],
-    frame_subset: set[FrameKey],
+    preds: Sequence[DetectionRecord],
     config: EvalConfig,
     schema: TripletSchema,
 ) -> EvalReport:
-    """Evaluation restricted to a subset of ground-truth frames."""
-    gt_keys = {(r.video_id, r.frame_id) for r in gt_frames}
-    missing = frame_subset - gt_keys
-    if missing:
-        raise EvaluationError(
-            f"subset frames not in ground truth: {sorted(missing)[:5]}"
-        )
-    sub_gt = [r for r in gt_frames if (r.video_id, r.frame_id) in frame_subset]
-    sub_preds = [p for p in preds if (p.video_id, p.frame_id) in frame_subset]
-    if config.mode == "rec":
-        return evaluate_recognition(sub_gt, sub_preds, config, schema)
-    return evaluate_grounded(sub_gt, sub_preds, config, schema)
+    """Instance-grounded evaluation (seg or det mode)."""
+    if config.mode not in ("seg", "det"):
+        raise EvaluationError(f"evaluate_grounded cannot run mode {config.mode!r}")
+    return score(match(gt_frames, preds, config, schema))
+
+
+def evaluate_recognition(
+    gt_frames: Sequence[FrameRecord],
+    preds: Sequence[RecognitionRecord],
+    config: EvalConfig,
+    schema: TripletSchema,
+) -> EvalReport:
+    """Frame-level recognition evaluation."""
+    if config.mode != "rec":
+        raise EvaluationError(f"evaluate_recognition cannot run mode {config.mode!r}")
+    return score(match(gt_frames, preds, config, schema))
 
 
 def evaluate(
@@ -547,7 +537,5 @@ def evaluate(
     config: EvalConfig,
     schema: TripletSchema,
 ) -> EvalReport:
-    """Dispatch to the mode's evaluation function."""
-    if config.mode == "rec":
-        return evaluate_recognition(gt_frames, preds, config, schema)
-    return evaluate_grounded(gt_frames, preds, config, schema)
+    """Match, then score, in the config's mode."""
+    return score(match(gt_frames, preds, config, schema))

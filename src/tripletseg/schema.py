@@ -5,7 +5,8 @@ curated subset of the full cross product is clinically valid; each valid
 combination gets a dense ``triplet_id``. The schema maps triplet ids to
 their component ids and supports projecting a triplet onto any of the six
 component spaces used for evaluation: ``i``, ``v``, ``t``, ``iv``, ``it``
-and ``ivt``.
+and ``ivt``. Within each component the realized classes also get a dense
+class index, assigned in sorted key order, for array-based evaluation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class TripletSchema:
     ``triplets`` maps triplet_id -> (instrument_id, verb_id, target_id).
     Name maps may contain placeholder entries for ids that never occur in
     the triplet table but are still part of the declared class count.
+    ``class_keys[component]`` lists the component keys reachable from the
+    triplet table in sorted order; a key's position is its class index,
+    and ``class_index[component]`` maps each triplet id to it.
     """
 
     n_triplets: int
@@ -52,6 +56,22 @@ class TripletSchema:
     instrument_names: dict[int, str] = field(repr=False)
     verb_names: dict[int, str] = field(repr=False)
     target_names: dict[int, str] = field(repr=False)
+    class_keys: dict[str, tuple[ComponentKey, ...]] = field(init=False, repr=False, compare=False)
+    # per component: triplet_id -> class index, -1 for ids not in the table
+    class_index: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys, index = {}, {}
+        for comp in COMPONENTS:
+            projected = {tid: self.project(tid, comp) for tid in self.triplets}
+            keys[comp] = tuple(sorted(set(projected.values())))
+            rank = {key: k for k, key in enumerate(keys[comp])}
+            index[comp] = tuple(
+                rank[projected[tid]] if tid in projected else -1
+                for tid in range(max(self.triplets, default=-1) + 1)
+            )
+        object.__setattr__(self, "class_keys", keys)
+        object.__setattr__(self, "class_index", index)
 
     def project(self, triplet_id: int, component: str) -> ComponentKey:
         """Project a triplet id onto one component space."""
@@ -75,8 +95,7 @@ class TripletSchema:
 
     def realized_keys(self, component: str) -> list[ComponentKey]:
         """All component keys reachable from the triplet table, sorted."""
-        keys = {self.project(tid, component) for tid in self.triplets}
-        return sorted(keys, key=lambda k: (k,) if isinstance(k, int) else k)
+        return list(self.class_keys[component])
 
     def triplet_name(self, triplet_id: int) -> str:
         i, v, t = self.triplets[triplet_id]

@@ -7,9 +7,9 @@ family) drives a Fisher-Yates shuffle, then consecutive chunks become
 the subsets.
 
 The Wilcoxon test is one-sided with alternative median(x - y) > 0. The
-p-value is exact (full enumeration of sign assignments) up to 20
-effective pairs and a normal approximation with tie and continuity
-corrections beyond that.
+p-value is exact up to 20 effective pairs, counting the sign assignments
+that reach the observed statistic by dynamic programming, and a normal
+approximation with tie and continuity corrections beyond that.
 """
 
 from __future__ import annotations
@@ -155,24 +155,18 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _exact_upper_tail(ranks2: np.ndarray, w2_observed: int) -> float:
-    """P(W >= observed) by full enumeration of the 2^n sign assignments.
+    """P(W >= observed) over the 2^n equally likely sign assignments.
 
     Works on doubled ranks so every sum is an exact integer (average
-    ranks are multiples of one half). Enumeration is chunked so memory
-    stays bounded at 2^20 assignments.
+    ranks are multiples of one half). ``counts[w]`` is the exact number
+    of assignments whose positive ranks sum to ``w``; each rank r adds a
+    copy of the counts shifted up by r.
     """
-    n = len(ranks2)
-    total = 1 << n
-    bit_positions = np.arange(n, dtype=np.uint64)
-    hits = 0
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        assignment = np.arange(start, stop, dtype=np.uint64)
-        signs = (assignment[:, None] >> bit_positions[None, :]) & np.uint64(1)
-        sums = signs.astype(np.int64) @ ranks2
-        hits += int((sums >= w2_observed).sum())
-    return hits / total
+    counts = np.zeros(int(ranks2.sum()) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in ranks2.tolist():
+        counts[r:] += counts[:-r].copy()
+    return int(counts[w2_observed:].sum()) / (1 << len(ranks2))
 
 
 def wilcoxon_one_sided(
@@ -204,8 +198,7 @@ def wilcoxon_one_sided(
 
     if method == "exact" and n > 20:
         raise StatsError(
-            f"exact method enumerates 2^n sign patterns and is capped at "
-            f"n=20 nonzero differences, got {n}"
+            f"exact method is capped at n=20 nonzero differences, got {n}"
         )
     use_exact = method == "exact" or (method == "auto" and n <= 20)
     if use_exact:

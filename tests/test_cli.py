@@ -240,6 +240,31 @@ def test_align_reports_ambiguities(tmp_path, capsys, schema):
     assert "MultiInstanceOneTriplet" in out
 
 
+def test_align_rejects_jobs_below_one(tmp_path, capsys):
+    masks_dir = tmp_path / "masks"
+    masks_dir.mkdir()
+    doc = {
+        "video_id": "vid01", "width": W, "height": H,
+        "frames": [{
+            "frame_id": 0,
+            "frame_triplets": [],
+            "instances": [
+                {"instance_id": 0, "instrument_id": 0,
+                 "mask": _mask(0, 0).to_json_dict()},
+            ],
+        }],
+    }
+    (masks_dir / "vid01.json").write_text(json.dumps(doc))
+    labels_file = tmp_path / "labels.csv"
+    labels_file.write_text("video_id,frame_id,triplet_id\nvid01,0,0\n")
+    out_dir = tmp_path / "aligned"
+    code = main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                 "--out", str(out_dir), "--jobs", "0"])
+    assert code == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_compare_values_form(tmp_path, capsys):
     values_a = tmp_path / "a.json"
     values_b = tmp_path / "b.json"
@@ -278,6 +303,20 @@ def test_compare_values_form_rejects_non_numbers(tmp_path, capsys):
     assert "array of numbers" in capsys.readouterr().err
 
 
+def test_compare_values_form_rejects_malformed_json(tmp_path, capsys):
+    values_a = tmp_path / "a.json"
+    values_b = tmp_path / "b.json"
+    values_a.write_text("[1, 2")
+    values_b.write_text("[1, 2]")
+    code = main(["compare", "--values-a", str(values_a),
+                 "--values-b", str(values_b)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(values_a) in err and "invalid JSON" in err
+    assert "unexpected failure" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_compare_pipeline_form(gt_dir, tmp_path, capsys):
     preds_a = _write_perfect_preds(gt_dir, tmp_path / "a.json")
     # method b misses one frame's instances entirely
@@ -303,6 +342,31 @@ def test_compare_pipeline_form(gt_dir, tmp_path, capsys):
     assert len(doc["per_subset"]) == 3
     assert all(row["a"] >= row["b"] for row in doc["per_subset"])
     assert set(doc["wilcoxon"]) == {"W", "n_effective", "p_value", "method"}
+
+
+def test_compare_matches_each_method_once(gt_dir, tmp_path, capsys, monkeypatch):
+    from tripletseg import evaluation
+
+    calls = []
+    real_match = evaluation.match
+
+    def counting_match(*args, **kwargs):
+        calls.append(1)
+        return real_match(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "match", counting_match)
+    preds_a = _write_perfect_preds(gt_dir, tmp_path / "a.json")
+    docs = json.loads(preds_a.read_text())
+    preds_b = tmp_path / "b.json"
+    preds_b.write_text(json.dumps(docs[1:]))
+    code = main([
+        "compare", "--gt", str(gt_dir),
+        "--preds-a", str(preds_a), "--preds-b", str(preds_b),
+        "--mode", "seg", "--n-subsets", "3", "--subset-size", "2",
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_compare_identical_predictions_errors(gt_dir, tmp_path, capsys):

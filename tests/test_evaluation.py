@@ -21,11 +21,13 @@ from tripletseg.errors import EvaluationError
 from tripletseg.evaluation import (
     EvalConfig,
     average_precision,
+    evaluate,
     evaluate_grounded,
     evaluate_recognition,
-    evaluate_subset,
-    match_frame,
+    match,
+    match_from_matrix,
     project_detections,
+    score,
 )
 from tripletseg.masks import BBox, box_iou, mask_iou
 
@@ -65,27 +67,32 @@ def _det(video_id, frame_id, tid, score, mask=None, bbox=None):
     )
 
 
-# match_frame
+# match_from_matrix
+
+
+def _iou_matrix(preds, gts, iou_fn):
+    """Predictions (already in score order) x GT IoU matrix."""
+    return np.array([[iou_fn(p, g) for g in gts] for p in preds])
 
 
 def test_match_single_tp():
     gt = [_mask(0, 0)]
-    preds = [(0.9, _mask(0, 0))]
-    assert match_frame(preds, gt, 0.5, mask_iou) == [True]
+    preds = [_mask(0, 0)]
+    assert match_from_matrix(_iou_matrix(preds, gt, mask_iou), 0.5) == [True]
 
 
 def test_match_one_to_one_constraint():
     gt = [_mask(0, 0, 8, 8)]
     close = _mask(0, 0, 8, 8)
     slightly_off = _mask(0, 1, 8, 8)
-    preds = [(0.9, close), (0.8, slightly_off)]
-    assert match_frame(preds, gt, 0.5, mask_iou) == [True, False]
+    preds = [close, slightly_off]
+    assert match_from_matrix(_iou_matrix(preds, gt, mask_iou), 0.5) == [True, False]
 
 
 def test_match_below_threshold():
     gt = [_mask(0, 0, 4, 4)]
-    preds = [(0.9, _mask(8, 8, 4, 4))]
-    assert match_frame(preds, gt, 0.5, mask_iou) == [False]
+    preds = [_mask(8, 8, 4, 4)]
+    assert match_from_matrix(_iou_matrix(preds, gt, mask_iou), 0.5) == [False]
 
 
 def test_match_iou_tie_takes_lowest_gt_index():
@@ -93,8 +100,8 @@ def test_match_iou_tie_takes_lowest_gt_index():
     # equidistant pred overlapping both equally is impossible with these;
     # instead give a pred with identical IoU to two identical boxes
     gt = [BBox(0, 0, 4, 4), BBox(0, 0, 4, 4)]
-    preds = [(0.9, BBox(0, 0, 4, 4)), (0.8, BBox(0, 0, 4, 4))]
-    flags = match_frame(preds, gt, 0.5, box_iou)
+    preds = [BBox(0, 0, 4, 4), BBox(0, 0, 4, 4)]
+    flags = match_from_matrix(_iou_matrix(preds, gt, box_iou), 0.5)
     assert flags == [True, True]
 
 
@@ -442,16 +449,15 @@ def test_recognition_projection_by_max_matches_enumeration(schema, rng):
             assert got.per_class[key] == pytest.approx(value, abs=1e-12)
 
 
-# evaluate_subset
+# subset scoring
 
 
 def test_subset_equal_to_full(schema, rng):
     frames, preds = micro_instance(rng, schema)
     config = EvalConfig(mode="seg")
     full = evaluate_grounded(frames, preds, config, schema)
-    subset = evaluate_subset(
-        frames, preds, {(r.video_id, r.frame_id) for r in frames}, config, schema
-    )
+    table = match(frames, preds, config, schema)
+    subset = score(table, frames={(r.video_id, r.frame_id) for r in frames})
     assert full == subset
 
 
@@ -461,8 +467,9 @@ def test_disjoint_subsets_partition_gt_count(schema, rng):
     half = len(keys) // 2
     config = EvalConfig(mode="seg")
     full = evaluate_grounded(frames, preds, config, schema)
-    a = evaluate_subset(frames, preds, set(keys[:half]), config, schema)
-    b = evaluate_subset(frames, preds, set(keys[half:]), config, schema)
+    table = match(frames, preds, config, schema)
+    a = score(table, frames=set(keys[:half]))
+    b = score(table, frames=set(keys[half:]))
     assert (
         a.components["ivt"].gt_count + b.components["ivt"].gt_count
         == full.components["ivt"].gt_count
@@ -471,8 +478,9 @@ def test_disjoint_subsets_partition_gt_count(schema, rng):
 
 def test_subset_unknown_frame_rejected(schema, rng):
     frames, preds = micro_instance(rng, schema)
+    table = match(frames, preds, EvalConfig(mode="seg"), schema)
     with pytest.raises(EvaluationError, match="not in ground truth"):
-        evaluate_subset(frames, preds, {("nope", 1)}, EvalConfig(mode="seg"), schema)
+        score(table, frames={("nope", 1)})
 
 
 def test_subset_oracle_equivalence(schema, rng):
@@ -480,7 +488,7 @@ def test_subset_oracle_equivalence(schema, rng):
     keys = sorted({(r.video_id, r.frame_id) for r in frames})
     subset = set(keys[: max(1, len(keys) // 2)])
     config = EvalConfig(mode="seg")
-    report = evaluate_subset(frames, preds, subset, config, schema)
+    report = score(match(frames, preds, config, schema), frames=subset)
     sub_frames = [r for r in frames if (r.video_id, r.frame_id) in subset]
     sub_preds = [p for p in preds if (p.video_id, p.frame_id) in subset]
     expected = oracle_grounded_eval(
@@ -491,6 +499,33 @@ def test_subset_oracle_equivalence(schema, rng):
             assert report.components[comp].per_class[key] == pytest.approx(
                 value, abs=1e-9
             )
+
+
+def test_subset_of_full_table_equals_filtered_evaluation(schema, rng):
+    for _ in range(15):
+        frames, preds = micro_instance(rng, schema)
+        # predictions on frames absent from the ground truth
+        preds = preds + [
+            _det(p.video_id, p.frame_id + 100, p.triplet_id, p.score, mask=p.mask)
+            for p in preds[:2]
+        ]
+        recs = [
+            _rec(r.video_id, r.frame_id,
+                 {int(t): float(rng.random()) for t in rng.choice(100, size=5)},
+                 schema)
+            for r in frames if rng.random() < 0.8
+        ] + [_rec("zz", 7, {0: 1.0}, schema)]
+        keys = sorted({(r.video_id, r.frame_id) for r in frames})
+        subset = {k for k in keys if rng.random() < 0.5} or {keys[0]}
+        sub_frames = [r for r in frames if (r.video_id, r.frame_id) in subset]
+        for mode, data in (("seg", preds), ("det", preds), ("rec", recs)):
+            sub_data = [p for p in data if (p.video_id, p.frame_id) in subset]
+            for averaging in ("pooled", "per_video"):
+                config = EvalConfig(mode=mode, averaging=averaging)
+                got = score(match(frames, data, config, schema), frames=subset)
+                want = evaluate(sub_frames, sub_data, config, schema)
+                assert got == want, (mode, averaging)
+                assert got.to_json_dict() == want.to_json_dict()
 
 
 # report shape

@@ -82,6 +82,18 @@ def test_wilcoxon_matches_brute_force_oracle(rng):
         assert result.n_effective == n_eff
         assert result.p_value == pytest.approx(p, abs=1e-12)
         assert result.method == "exact"
+    # tie-heavy integer differences: many shared average ranks
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        x = rng.integers(-3, 4, size=n).tolist()
+        y = [0] * n
+        if not any(x):
+            x[0] = 1
+        result = wilcoxon_one_sided(x, y, method="exact")
+        w, n_eff, p = brute_wilcoxon_one_sided(x, y)
+        assert result.statistic == pytest.approx(w, abs=1e-12)
+        assert result.n_effective == n_eff
+        assert result.p_value == pytest.approx(p, abs=1e-12)
 
 
 def test_wilcoxon_textbook_pairs():
@@ -92,6 +104,14 @@ def test_wilcoxon_textbook_pairs():
     assert result.statistic == 55.0
     assert result.n_effective == 10
     assert result.p_value == pytest.approx(1 / 2 ** 10, abs=1e-15)
+
+
+def test_wilcoxon_all_positive_n20_exact():
+    x = [float(i + 2) for i in range(20)]
+    y = [float(i + 1) for i in range(20)]
+    result = wilcoxon_one_sided(x, y, method="exact")
+    assert result.n_effective == 20
+    assert result.p_value == 2 ** -20
 
 
 def test_wilcoxon_all_positive_n12():
