@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -260,33 +259,6 @@ def _align_one_frame(
     return record, entries
 
 
-def _align_video(
-    args: tuple[list[TripletLabelFrame], list[InstanceMaskFrame], TripletSchema],
-) -> tuple[list[FrameRecord], list[AmbiguityEntry]]:
-    labels, masks, schema = args
-    label_map = {f.frame_id: f for f in labels}
-    mask_map = {f.frame_id: f for f in masks}
-    records: list[FrameRecord] = []
-    entries: list[AmbiguityEntry] = []
-    for frame_id in sorted(set(label_map) | set(mask_map)):
-        lab = label_map.get(frame_id)
-        msk = mask_map.get(frame_id)
-        if lab is None or msk is None:
-            present = lab if lab is not None else msk
-            missing_side = "mask" if msk is None else "label"
-            entries.append(
-                AmbiguityEntry(
-                    present.video_id, frame_id, "FrameMissingInOneSource",
-                    f"frame absent from the {missing_side} stream",
-                )
-            )
-            continue
-        record, frame_entries = _align_one_frame(lab, msk, schema)
-        records.append(record)
-        entries.extend(frame_entries)
-    return records, entries
-
-
 def align_frames(
     labels: list[TripletLabelFrame],
     masks: list[InstanceMaskFrame],
@@ -296,38 +268,35 @@ def align_frames(
     """Join the two streams and auto-assign unique bipartite matches.
 
     Frames present in only one stream produce report entries and no
-    output record. With ``jobs > 1`` videos are aligned in parallel; the
-    merge is sorted, so the result is identical for any worker count.
+    output record. ``jobs`` is accepted for compatibility and must be at
+    least 1; the work runs in one process.
     """
     if jobs < 1:
         raise AlignmentError("jobs must be at least 1")
-    _check_stream_order([(f.video_id, f.frame_id) for f in labels], "label")
-    _check_stream_order([(f.video_id, f.frame_id) for f in masks], "mask")
-
-    videos = sorted(
-        {f.video_id for f in labels} | {f.video_id for f in masks}
-    )
-    tasks = []
-    for vid in videos:
-        tasks.append(
-            (
-                [f for f in labels if f.video_id == vid],
-                [f for f in masks if f.video_id == vid],
-                schema,
-            )
-        )
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_align_video, tasks))
-    else:
-        results = [_align_video(t) for t in tasks]
+    label_keys = [(f.video_id, f.frame_id) for f in labels]
+    mask_keys = [(f.video_id, f.frame_id) for f in masks]
+    _check_stream_order(label_keys, "label")
+    _check_stream_order(mask_keys, "mask")
+    label_map = dict(zip(label_keys, labels))
+    mask_map = dict(zip(mask_keys, masks))
 
     records: list[FrameRecord] = []
     entries: list[AmbiguityEntry] = []
-    for recs, ents in results:
-        records.extend(recs)
-        entries.extend(ents)
-    records.sort(key=lambda r: (r.video_id, r.frame_id))
+    for key in sorted(label_map.keys() | mask_map.keys()):
+        lab = label_map.get(key)
+        msk = mask_map.get(key)
+        if lab is None or msk is None:
+            missing_side = "mask" if msk is None else "label"
+            entries.append(
+                AmbiguityEntry(
+                    *key, "FrameMissingInOneSource",
+                    f"frame absent from the {missing_side} stream",
+                )
+            )
+            continue
+        record, frame_entries = _align_one_frame(lab, msk, schema)
+        records.append(record)
+        entries.extend(frame_entries)
     entries.sort(key=lambda e: (e.video_id, e.frame_id, e.kind, e.detail))
     return records, AmbiguityReport(entries=tuple(entries))
 

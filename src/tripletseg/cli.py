@@ -22,6 +22,8 @@ from .schema import COMPONENTS, load_schema
 
 log = logging.getLogger("tripletseg")
 
+JOBS_HELP = "accepted for compatibility (must be at least 1); the work runs in one process"
+
 
 def _add_schema_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output ground-truth directory")
     p.add_argument("--report", metavar="JSON",
                    help="write the ambiguity report here")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
     _add_schema_flag(p)
     p.set_defaults(func=_cmd_align)
 
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="pooled")
         p.add_argument("--ap-method", choices=("envelope", "step"), default=None,
                        help="default: envelope for seg/det, step for rec")
-        p.add_argument("--jobs", type=int, default=1, metavar="N")
+        p.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("--gt", required=True, metavar="DIR")
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou-threshold", type=float, default=0.5, metavar="T")
     p.add_argument("--averaging", choices=("pooled", "per_video"), default="pooled")
     p.add_argument("--ap-method", choices=("envelope", "step"), default=None)
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
     p.add_argument("--values-a", metavar="JSON",
                    help="precomputed per-subset metric values for method a")
     p.add_argument("--values-b", metavar="JSON",

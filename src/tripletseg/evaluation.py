@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Collection
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,7 +37,9 @@ FrameKey = tuple[str, int]
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation settings; ``ap_method=None`` picks the mode's default
-    (monotone precision envelope for seg/det, raw step sum for rec)."""
+    (monotone precision envelope for seg/det, raw step sum for rec).
+    ``jobs`` is accepted for compatibility and must be at least 1; the
+    work runs in one process."""
 
     mode: str
     iou_threshold: float = 0.5
@@ -182,25 +182,29 @@ def average_precision(
     return float(precision[tp].sum() / gt_count)
 
 
-def project_detections(
-    dets: Sequence[DetectionRecord], component: str, schema: TripletSchema
-) -> list[tuple[ComponentKey, DetectionRecord]]:
-    """Relabel detections by component class. No deduplication: duplicate
-    component detections stay and are penalized by one-to-one matching."""
-    return [(schema.project(d.triplet_id, component), d) for d in dets]
-
-
-def _pred_geometry(det: DetectionRecord, mode: str) -> RleMask | BBox:
-    if mode == "seg":
-        if det.mask is None:
-            raise EvaluationError(
-                f"seg mode requires masks on all predictions; "
-                f"({det.video_id}, {det.frame_id}) triplet {det.triplet_id} "
-                f"has none"
-            )
-        return det.mask
-    if det.bbox is not None:
+def _pred_geometry(
+    index: int, det: DetectionRecord, mode: str, frame_size: tuple[int, int] | None
+) -> RleMask | BBox:
+    """The geometry a prediction is scored with, checked before any IoU is
+    computed: a mask must fit the grid of its ground-truth frame (if the
+    frame is known), and a det prediction without a box needs a non-empty
+    mask."""
+    where = f"prediction {index} ({det.video_id}, {det.frame_id}) triplet {det.triplet_id}"
+    if mode == "det" and det.bbox is not None:
         return det.bbox
+    if det.mask is None:
+        need = "masks" if mode == "seg" else "a mask or a bbox"
+        raise EvaluationError(f"{mode} mode requires {need} on all predictions; {where} has none")
+    size = (det.mask.height, det.mask.width)
+    if frame_size is not None and size != frame_size:
+        raise EvaluationError(
+            f"{where}: mask size {size[0]}x{size[1]} does not match "
+            f"frame size {frame_size[0]}x{frame_size[1]}"
+        )
+    if mode == "seg":
+        return det.mask
+    if det.mask.area == 0:
+        raise EvaluationError(f"{where}: empty mask and no bbox")
     return mask_to_bbox(det.mask)
 
 
@@ -268,12 +272,6 @@ def _frame_tp(
     return tp
 
 
-def _chunk_tp(tasks: list[tuple], mode: str, iou_threshold: float) -> np.ndarray:
-    """TP flags of the prediction rows of consecutive frames."""
-    iou_fn = mask_iou if mode == "seg" else box_iou
-    return np.concatenate([_frame_tp(*t, iou_fn, iou_threshold) for t in tasks])
-
-
 def _match_grounded(
     gt_frames: Sequence[FrameRecord], preds: Sequence[DetectionRecord],
     config: EvalConfig, schema: TripletSchema,
@@ -281,19 +279,23 @@ def _match_grounded(
     """Ground truth consists of the grounded instances (those carrying a
     triplet assignment). Predictions on frames absent from the ground
     truth are warned about and scored as false positives in their stated
-    frame. With ``config.jobs > 1`` frames are matched in parallel."""
+    frame."""
     gt_by_frame: dict[FrameKey, list[tuple[int, Any]]] = {}
+    frame_size: dict[FrameKey, tuple[int, int]] = {}
     for rec in gt_frames:
+        frame_size[(rec.video_id, rec.frame_id)] = (rec.height, rec.width)
         gt_by_frame[(rec.video_id, rec.frame_id)] = [
             (g.triplet_id, g.mask if config.mode == "seg" else mask_to_bbox(g.mask))
             for g in rec.instances
             if g.triplet_id is not None
         ]
     preds_by_frame: dict[FrameKey, list[tuple[int, float, Any]]] = {}
-    for det in preds:
-        preds_by_frame.setdefault((det.video_id, det.frame_id), []).append(
-            (det.triplet_id, det.score, _pred_geometry(det, config.mode))
-        )
+    for index, det in enumerate(preds):
+        key = (det.video_id, det.frame_id)
+        preds_by_frame.setdefault(key, []).append((
+            det.triplet_id, det.score,
+            _pred_geometry(index, det, config.mode, frame_size.get(key)),
+        ))
     unknown = preds_by_frame.keys() - gt_by_frame.keys()
     if unknown:
         log.warning(
@@ -315,24 +317,17 @@ def _match_grounded(
     pred_cls = classes([tid for d in dets for tid, _, _ in d])
     scores = np.array([s for d in dets for _, s, _ in d], dtype=np.float64)
     gt_cuts, pred_cuts = np.cumsum(n_gt)[:-1], np.cumsum(n_pred)[:-1]
-    tasks = list(zip(
-        [[geom for _, geom in g] for g in gts], np.split(gt_cls, gt_cuts),
-        [[geom for _, _, geom in d] for d in dets], np.split(scores, pred_cuts),
-        np.split(pred_cls, pred_cuts),
-    ))
-
-    # the pool covers matching only; chunks come back in frame order, so
-    # the table is identical for any worker count
-    n_chunks = min(len(tasks), config.jobs * 4) if config.jobs > 1 else 1
-    bounds = np.linspace(0, len(tasks), n_chunks + 1).astype(int)
-    chunks = [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
-    args = (_chunk_tp, chunks, repeat(config.mode), repeat(config.iou_threshold))
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            parts = list(pool.map(*args))
-    else:
-        parts = list(map(*args))
-    tp = np.concatenate([np.zeros((0, len(config.components)), dtype=bool), *parts])
+    iou_fn = mask_iou if config.mode == "seg" else box_iou
+    parts = [np.zeros((0, len(config.components)), dtype=bool)]
+    for g, g_cls, d, s, p_cls in zip(
+        gts, np.split(gt_cls, gt_cuts), dets,
+        np.split(scores, pred_cuts), np.split(pred_cls, pred_cuts),
+    ):
+        parts.append(_frame_tp(
+            [geom for _, geom in g], g_cls, [geom for _, _, geom in d], s, p_cls,
+            iou_fn, config.iou_threshold,
+        ))
+    tp = np.concatenate(parts)
 
     frame = np.repeat(np.arange(len(keys)), n_pred)
     gt_frame = np.repeat(np.arange(len(keys)), n_gt)

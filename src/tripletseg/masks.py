@@ -14,6 +14,7 @@ that purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -50,10 +51,21 @@ class RleMask:
                 f"counts sum {total} != {self.height}*{self.width} pixels"
             )
 
-    @property
+    @cached_property
     def area(self) -> int:
         """Number of foreground pixels."""
         return int(sum(self.counts[1::2]))
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        # computed once per mask; read-only, since every caller shares them
+        counts = np.asarray(self.counts, dtype=np.int64)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        runs = (starts[1::2].copy(), ends[1::2].copy())
+        for arr in runs:
+            arr.flags.writeable = False
+        return runs
 
     @classmethod
     def from_json_dict(cls, obj: Any) -> "RleMask":
@@ -119,11 +131,9 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
 
 
 def foreground_intervals(mask: RleMask) -> tuple[np.ndarray, np.ndarray]:
-    """Half-open ``[start, end)`` foreground runs in flat column-major index."""
-    counts = np.asarray(mask.counts, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return starts[1::2], ends[1::2]
+    """Half-open ``[start, end)`` foreground runs in flat column-major
+    index, as read-only arrays computed once per mask."""
+    return mask._runs
 
 
 def _interval_overlap(
@@ -135,20 +145,22 @@ def _interval_overlap(
     """Total length of the intersection of two disjoint interval sets.
 
     Both sets are sorted and internally disjoint (they come from run
-    encodings). Cut the line at every boundary point; each elementary
-    segment is covered by a set iff its left endpoint falls inside one of
-    the set's intervals, which searchsorted answers in bulk.
+    encodings), so the runs of B overlapping a run of A form one index
+    range ``[lo, hi)``: those ending after it starts and starting before
+    it ends. That gives at most ``|A| + |B|`` overlapping pairs, each
+    contributing ``min(end) - max(start)``.
     """
-    if a_starts.size == 0 or b_starts.size == 0:
+    lo = np.searchsorted(b_ends, a_starts, side="right")
+    hi = np.searchsorted(b_starts, a_ends, side="left")
+    n = hi - lo
+    total = int(n.sum())
+    if total == 0:
         return 0
-    points = np.unique(np.concatenate((a_starts, a_ends, b_starts, b_ends)))
-    seg_starts = points[:-1]
-    seg_lens = np.diff(points)
-    in_a = np.searchsorted(a_starts, seg_starts, side="right") - 1
-    cov_a = (in_a >= 0) & (seg_starts < a_ends[np.clip(in_a, 0, None)])
-    in_b = np.searchsorted(b_starts, seg_starts, side="right") - 1
-    cov_b = (in_b >= 0) & (seg_starts < b_ends[np.clip(in_b, 0, None)])
-    return int(seg_lens[cov_a & cov_b].sum())
+    a_idx = np.repeat(np.arange(len(a_starts)), n)
+    b_idx = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
+    inter = (np.minimum(a_ends[a_idx], b_ends[b_idx])
+             - np.maximum(a_starts[a_idx], b_starts[b_idx]))
+    return int(inter.sum())
 
 
 def mask_intersection_union(a: RleMask, b: RleMask) -> tuple[int, int]:

@@ -93,10 +93,6 @@ class TripletSchema:
             return (i, t)
         return triplet_id
 
-    def realized_keys(self, component: str) -> list[ComponentKey]:
-        """All component keys reachable from the triplet table, sorted."""
-        return list(self.class_keys[component])
-
     def triplet_name(self, triplet_id: int) -> str:
         i, v, t = self.triplets[triplet_id]
         return ",".join(

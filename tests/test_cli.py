@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tripletseg
 from synth import rect_rle
 from tripletseg.cli import main
 from tripletseg.dataset_io import (
@@ -153,6 +156,29 @@ def test_eval_output_byte_stable_and_jobs_invariant(gt_dir, tmp_path, capsys):
         outputs.append(out_file.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("mode, frame_id, mask, message", [
+    ("seg", 1, {"size": [10, 10], "counts": [0, 100]},
+     "mask size 10x10 does not match frame size 16x16"),
+    ("det", 1, {"size": [10, 10], "counts": [0, 100]},
+     "mask size 10x10 does not match frame size 16x16"),
+    # checked on frames outside the ground truth too
+    ("det", 99, {"size": [H, W], "counts": [H * W]}, "empty mask and no bbox"),
+], ids=["seg-size", "det-size", "det-empty"])
+def test_eval_rejects_bad_prediction_geometry(gt_dir, tmp_path, capsys,
+                                              mode, frame_id, mask, message):
+    preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
+    records = json.loads(preds.read_text())
+    records.insert(1, {"video_id": "vid01", "frame_id": frame_id,
+                       "triplet_id": 50, "score": 0.5, "mask": mask})
+    preds.write_text(json.dumps(records))
+    code = main(["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", mode])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"prediction 1 (vid01, {frame_id}) triplet 50" in err[0]
+    assert message in err[0]
 
 
 def test_eval_component_subset(gt_dir, tmp_path, capsys):
@@ -409,9 +435,13 @@ def test_fusion_check_determinism(capsys):
 
 
 def test_console_script_subprocess(gt_dir):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(tripletseg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run(
         [sys.executable, "-m", "tripletseg.cli", "stats", "--gt", str(gt_dir)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "6 annotated frames" in result.stdout

@@ -26,7 +26,6 @@ from tripletseg.evaluation import (
     evaluate_recognition,
     match,
     match_from_matrix,
-    project_detections,
     score,
 )
 from tripletseg.masks import BBox, box_iou, mask_iou
@@ -149,32 +148,29 @@ def test_ap_matches_oracle_randomized(rng):
             )
 
 
-# project_detections
+# projection
 
 
 def test_project_detections(schema):
     tid = 42
     i, v, t = schema.triplets[tid]
-    det = _det("v", 0, tid, 0.5, bbox=BBox(0, 0, 2, 2))
-    (key_i, out_i), = project_detections([det], "i", schema)
-    assert key_i == i and out_i is det
-    (key_ivt, _), = project_detections([det], "ivt", schema)
-    assert key_ivt == tid
-    (key_iv, _), = project_detections([det], "iv", schema)
-    assert key_iv == (i, v)
+    assert schema.project(tid, "i") == i
+    assert schema.project(tid, "ivt") == tid
+    assert schema.project(tid, "iv") == (i, v)
 
 
 def test_project_no_dedup(schema):
-    # two triplets sharing an instrument stay two detections after projection
+    # two triplets sharing an instrument stay two detections after
+    # projection; one-to-one matching leaves the second one a false positive
     by_instrument = {}
     for tid, (i, _, _) in sorted(schema.triplets.items()):
         by_instrument.setdefault(i, []).append(tid)
     tid_a, tid_b = by_instrument[0][:2]
-    box = BBox(0, 0, 2, 2)
+    box = BBox(0, 0, 4, 4)
+    frames = [_frame("v", 0, [(tid_a, _mask(0, 0))], schema)]
     dets = [_det("v", 0, tid_a, 0.5, bbox=box), _det("v", 0, tid_b, 0.4, bbox=box)]
-    projected = project_detections(dets, "i", schema)
-    assert [k for k, _ in projected] == [0, 0]
-    assert len(projected) == 2
+    table = match(frames, dets, EvalConfig(mode="det", components=("i",)), schema)
+    assert table.rows["i"].tp.tolist() == [True, False]
 
 
 # evaluate_grounded

@@ -18,6 +18,7 @@ from tripletseg.masks import (
     BBox,
     RleMask,
     box_iou,
+    foreground_intervals,
     mask_intersection_union,
     mask_iou,
     mask_to_bbox,
@@ -93,16 +94,42 @@ def test_from_json_dict_validation():
             RleMask.from_json_dict(bad)
 
 
+def _flat_bitmap(height, width, pixels):
+    """Bitmap with the given flat column-major pixels set."""
+    flat = np.zeros(height * width, dtype=bool)
+    flat[list(pixels)] = True
+    return flat.reshape((height, width), order="F")
+
+
 def test_iou_exact_against_bitmap_oracle(rng):
+    cases = []
     for _ in range(200):
         h = int(rng.integers(1, 24))
         w = int(rng.integers(1, 24))
-        a_bitmap = random_bitmap(rng, h, w)
-        b_bitmap = random_blob(rng, h, w)
-        a, b = rle_encode(a_bitmap), rle_encode(b_bitmap)
-        inter, union = mask_intersection_union(a, b)
-        assert (inter, union) == bitmap_intersection_union(a_bitmap, b_bitmap)
-        assert mask_iou(a, b) == inter / union
+        cases.append((random_bitmap(rng, h, w), random_blob(rng, h, w)))
+    blob = random_blob(rng, 12, 9)
+    cases += [
+        # runs that touch, one ending where the other starts, but never overlap
+        (_flat_bitmap(4, 3, [0, 1, 2, 6, 7, 8]), _flat_bitmap(4, 3, [3, 4, 5, 9, 10, 11])),
+        # one run crossing columns against many short runs
+        (_flat_bitmap(5, 6, range(3, 27)), _flat_bitmap(5, 6, range(0, 30, 2))),
+        (blob, blob.copy()),
+        (np.zeros_like(blob), blob),
+    ]
+    for a_bitmap, b_bitmap in cases:
+        for x_bitmap, y_bitmap in ((a_bitmap, b_bitmap), (b_bitmap, a_bitmap)):
+            x, y = rle_encode(x_bitmap), rle_encode(y_bitmap)
+            inter, union = mask_intersection_union(x, y)
+            assert (inter, union) == bitmap_intersection_union(x_bitmap, y_bitmap)
+            assert mask_iou(x, y) == inter / union
+
+
+def test_foreground_intervals_read_only():
+    mask = rect_rle(6, 5, 1, 1, 3, 2)
+    for arr in foreground_intervals(mask):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert mask_to_bbox(mask) == BBox(x=1, y=1, w=2, h=3)
 
 
 def test_iou_empty_cases():

@@ -13,9 +13,9 @@ def test_default_vocabulary_shape(schema):
     assert schema.n_targets == 15
     assert sorted(schema.triplets) == list(range(100))
     # every class id of every axis is realized by some triplet
-    assert schema.realized_keys("i") == list(range(6))
-    assert schema.realized_keys("v") == list(range(10))
-    assert schema.realized_keys("t") == list(range(15))
+    assert schema.class_keys["i"] == tuple(range(6))
+    assert schema.class_keys["v"] == tuple(range(10))
+    assert schema.class_keys["t"] == tuple(range(15))
 
 
 def test_combinations_unique(schema):
