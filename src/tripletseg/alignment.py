@@ -11,12 +11,15 @@ rather than guessed at.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from .dataset_io import FrameRecord, GroundedInstance, parse_video_file
+from .dataset_io import (
+    FrameRecord, GroundedInstance, parse_video_file, read_text, video_files,
+)
 from .errors import AlignmentError, DatasetError
 from .masks import RleMask
 from .schema import TripletSchema
@@ -77,30 +80,29 @@ class AmbiguityReport:
 
 def read_label_stream(path: str | Path) -> list[TripletLabelFrame]:
     """Read a label CSV with columns video_id, frame_id, triplet_id."""
-    path = Path(path)
+    try:
+        rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise DatasetError(f"{path}: {exc}") from exc
+    if not rows:
+        raise DatasetError(f"{path}: empty label file")
+    if [h.strip() for h in rows[0]] != ["video_id", "frame_id", "triplet_id"]:
+        raise DatasetError(
+            f"{path}: bad header, expected video_id,frame_id,triplet_id"
+        )
     grouped: dict[tuple[str, int], list[int]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise DatasetError(f"{path}:{lineno}: expected 3 fields")
+        video_id = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty label file") from None
-        if [h.strip() for h in header] != ["video_id", "frame_id", "triplet_id"]:
-            raise DatasetError(
-                f"{path}: bad header, expected video_id,frame_id,triplet_id"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"{path}:{lineno}: expected 3 fields")
-            video_id = row[0].strip()
-            try:
-                frame_id = int(row[1])
-                triplet_id = int(row[2])
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer field") from None
-            grouped.setdefault((video_id, frame_id), []).append(triplet_id)
+            frame_id = int(row[1])
+            triplet_id = int(row[2])
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: non-integer field") from None
+        grouped.setdefault((video_id, frame_id), []).append(triplet_id)
     return [
         TripletLabelFrame(video_id=v, frame_id=f, triplets=tuple(sorted(ts)))
         for (v, f), ts in sorted(grouped.items())
@@ -111,14 +113,8 @@ def read_mask_stream(
     mask_dir: str | Path, schema: TripletSchema
 ) -> list[InstanceMaskFrame]:
     """Read per-video instance files (GT shape, triplet_id absent)."""
-    mask_dir = Path(mask_dir)
-    if not mask_dir.is_dir():
-        raise FileNotFoundError(f"mask stream directory not found: {mask_dir}")
-    paths = sorted(mask_dir.glob("*.json"))
-    if not paths:
-        raise DatasetError(f"{mask_dir}: no video JSON files")
     frames: list[InstanceMaskFrame] = []
-    for path in paths:
+    for path in video_files(mask_dir):
         for rec in parse_video_file(path, schema, require_triplet_field=False):
             for g in rec.instances:
                 if g.triplet_id is not None:
@@ -127,18 +123,10 @@ def read_mask_stream(
                         f"already carries triplet {g.triplet_id}; mask streams "
                         f"must be unassigned"
                     )
-            frames.append(
-                InstanceMaskFrame(
-                    video_id=rec.video_id,
-                    frame_id=rec.frame_id,
-                    width=rec.width,
-                    height=rec.height,
-                    instances=tuple(
-                        (g.instance_id, g.instrument_id, g.mask)
-                        for g in rec.instances
-                    ),
-                )
-            )
+            frames.append(InstanceMaskFrame(
+                rec.video_id, rec.frame_id, rec.width, rec.height,
+                tuple((g.instance_id, g.instrument_id, g.mask) for g in rec.instances),
+            ))
     frames.sort(key=lambda f: (f.video_id, f.frame_id))
     return frames
 
@@ -168,85 +156,41 @@ def _align_one_frame(
     for inst in masks.instances:
         by_class_instances.setdefault(inst[1], []).append(inst)
 
+    def name(tid: int) -> str:
+        return f"triplet {tid} ({schema.triplet_name(tid)})"
+
+    # each class resolves to the triplet its instances get, their flags,
+    # and the ambiguity entries it raises; only a one-to-one class assigns,
+    # and a class without instances needs no flags
     instances_out: list[GroundedInstance] = []
-    classes = sorted(set(by_class_labels) | set(by_class_instances))
-    for cls in classes:
+    for cls in sorted(by_class_labels.keys() | by_class_instances.keys()):
         tids = by_class_labels.get(cls, [])
         insts = by_class_instances.get(cls, [])
-        if not insts:
-            for tid in tids:
-                entries.append(
-                    AmbiguityEntry(
-                        video_id, frame_id, "TripletWithoutInstance",
-                        f"triplet {tid} ({schema.triplet_name(tid)}) has no "
-                        f"instance of instrument {cls}",
-                    )
-                )
-            continue
-        if not tids:
-            for inst_id, inst_cls, mask in insts:
-                entries.append(
-                    AmbiguityEntry(
-                        video_id, frame_id, "InstanceWithoutTriplet",
-                        f"instance {inst_id} of instrument {inst_cls} has no "
-                        f"candidate triplet",
-                    )
-                )
-                instances_out.append(
-                    GroundedInstance(
-                        instance_id=inst_id,
-                        instrument_id=inst_cls,
-                        triplet_id=None,
-                        mask=mask,
-                        flags=frozenset({"unmatched"}),
-                    )
-                )
-            continue
+        triplet_id, flags, kind, details = None, frozenset({"ambiguous"}), "", []
         if len(insts) == 1 and len(tids) == 1:
-            inst_id, inst_cls, mask = insts[0]
-            instances_out.append(
-                GroundedInstance(
-                    instance_id=inst_id,
-                    instrument_id=inst_cls,
-                    triplet_id=tids[0],
-                    mask=mask,
-                    flags=frozenset(),
-                )
-            )
-            continue
-        if len(insts) > 1:
+            triplet_id, flags = tids[0], frozenset()
+        elif not insts:
+            kind = "TripletWithoutInstance"
+            details = [f"{name(t)} has no instance of instrument {cls}" for t in tids]
+        elif not tids:
+            kind, flags = "InstanceWithoutTriplet", frozenset({"unmatched"})
+            details = [f"instance {inst_id} of instrument {cls} has no candidate triplet"
+                       for inst_id, _, _ in insts]
+        elif len(insts) > 1:
             # several instances compete for the labels of this class;
             # no assignment regardless of how many labels there are
-            for tid in tids:
-                entries.append(
-                    AmbiguityEntry(
-                        video_id, frame_id, "MultiInstanceOneTriplet",
-                        f"triplet {tid} ({schema.triplet_name(tid)}) has "
-                        f"{len(insts)} candidate instances of instrument {cls}",
-                    )
-                )
-            flag = frozenset({"ambiguous"})
+            kind = "MultiInstanceOneTriplet"
+            details = [f"{name(t)} has {len(insts)} candidate instances of "
+                       f"instrument {cls}" for t in tids]
         else:
-            # one instance, several candidate labels
-            for tid in tids:
-                entries.append(
-                    AmbiguityEntry(
-                        video_id, frame_id, "MultiTripletOneInstance",
-                        f"triplet {tid} ({schema.triplet_name(tid)}) is one of "
-                        f"{len(tids)} candidates for instance {insts[0][0]}",
-                    )
-                )
-            flag = frozenset({"ambiguous"})
-        for inst_id, inst_cls, mask in insts:
-            instances_out.append(
-                GroundedInstance(
-                    instance_id=inst_id,
-                    instrument_id=inst_cls,
-                    triplet_id=None,
-                    mask=mask,
-                    flags=flag,
-                )
-            )
+            kind = "MultiTripletOneInstance"
+            details = [f"{name(t)} is one of {len(tids)} candidates for "
+                       f"instance {insts[0][0]}" for t in tids]
+        entries += [AmbiguityEntry(video_id, frame_id, kind, d) for d in details]
+        instances_out += [
+            GroundedInstance(inst_id, cls, triplet_id, mask, flags)
+            for inst_id, _, mask in insts
+        ]
 
     record = FrameRecord(
         video_id=video_id,
@@ -273,6 +217,12 @@ def align_frames(
     """
     if jobs < 1:
         raise AlignmentError("jobs must be at least 1")
+    for f in labels:
+        for tid in f.triplets:
+            if tid not in schema.triplets:
+                raise AlignmentError(
+                    f"label frame ({f.video_id}, {f.frame_id}): unknown triplet {tid}"
+                )
     label_keys = [(f.video_id, f.frame_id) for f in labels]
     mask_keys = [(f.video_id, f.frame_id) for f in masks]
     _check_stream_order(label_keys, "label")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, dataset_io, evaluation, fusion, stats
-from .errors import DatasetError, TripletSegError
+from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
 
 log = logging.getLogger("tripletseg")
@@ -50,13 +50,7 @@ def _write_json(path: str | Path, payload) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
-    gt_dir = Path(args.gt)
-    if not gt_dir.is_dir():
-        raise FileNotFoundError(f"ground truth directory not found: {gt_dir}")
-    paths = sorted(gt_dir.glob("*.json"))
-    if not paths:
-        print(f"{gt_dir}: no video JSON files", file=sys.stderr)
-        return 1
+    paths = dataset_io.video_files(args.gt)
     errors = 0
     n_frames = 0
     for path in paths:
@@ -141,18 +135,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if values_form:
         if args.values_a is None or args.values_b is None:
             raise TripletSegError("both --values-a and --values-b are required")
-        series = []
-        for path in (args.values_a, args.values_b):
-            try:
-                doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            except ValueError as exc:  # malformed JSON or not UTF-8
-                raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
-            if not isinstance(doc, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
-            ):
-                raise TripletSegError(f"{path}: expected a JSON array of numbers")
-            series.append([float(v) for v in doc])
-        values_a, values_b = series
+        values_a = dataset_io.read_values(args.values_a)
+        values_b = dataset_io.read_values(args.values_b)
         metric = f"mAP_{args.metric.upper()}"
         n_subsets = len(values_a)
         subset_size = None

@@ -11,7 +11,6 @@ score vectors.
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,6 @@ from typing import Any
 from .errors import DatasetError
 from .masks import BBox, MaskError, RleMask
 from .schema import TripletSchema
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -101,6 +98,35 @@ class StatsSummary:
         )
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text as UTF-8; DatasetError names a file that is not."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def load_json(path: str | Path) -> Any:
+    """A UTF-8 JSON file's document; DatasetError names a file that is not
+    JSON or nests too deeply to parse. I/O errors stay OSError."""
+    try:
+        return json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def video_files(directory: str | Path) -> list[Path]:
+    """The sorted ``*.json`` files of a per-video directory, which must
+    exist (else FileNotFoundError) and hold one (else DatasetError)."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"directory not found: {directory}")
+    paths = sorted(directory.glob("*.json"))
+    if not paths:
+        raise DatasetError(f"{directory}: no video JSON files")
+    return paths
+
+
 def _expect_int(obj: Any, locus: str) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise DatasetError(f"{locus}: expected an integer, got {type(obj).__name__}")
@@ -116,10 +142,20 @@ def _expect_str(obj: Any, locus: str) -> str:
 def _expect_number(obj: Any, locus: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise DatasetError(f"{locus}: expected a number, got {type(obj).__name__}")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        raise DatasetError(f"{locus}: number out of range") from None
     if value != value or value in (float("inf"), float("-inf")):
         raise DatasetError(f"{locus}: non-finite value")
     return value
+
+
+def _parse_mask(obj: Any, locus: str) -> RleMask:
+    try:
+        return RleMask.from_json_dict(obj)
+    except MaskError as exc:
+        raise DatasetError(f"{locus}.mask: {exc}") from exc
 
 
 def _parse_instance(
@@ -154,10 +190,7 @@ def _parse_instance(
     flags_raw = obj.get("flags", [])
     if not isinstance(flags_raw, list) or not all(isinstance(f, str) for f in flags_raw):
         raise DatasetError(f"{locus}.flags: must be a list of strings")
-    try:
-        mask = RleMask.from_json_dict(obj.get("mask"))
-    except MaskError as exc:
-        raise DatasetError(f"{locus}.mask: {exc}") from exc
+    mask = _parse_mask(obj.get("mask"), locus)
     if (mask.height, mask.width) != (height, width):
         raise DatasetError(
             f"{locus}.mask: size {mask.height}x{mask.width} does not match "
@@ -182,11 +215,7 @@ def parse_video_file(
     ``require_triplet_field=False`` accepts mask-stream files, which share
     the shape but omit triplet assignments.
     """
-    text = path.read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: top level must be an object")
     video_id = _expect_str(doc.get("video_id"), f"{path}: video_id")
@@ -266,14 +295,8 @@ def parse_video_file(
 
 def read_ground_truth(gt_dir: str | Path, schema: TripletSchema) -> list[FrameRecord]:
     """Load every ``<video_id>.json`` under a directory, sorted by key."""
-    gt_dir = Path(gt_dir)
-    if not gt_dir.is_dir():
-        raise FileNotFoundError(f"ground truth directory not found: {gt_dir}")
-    paths = sorted(gt_dir.glob("*.json"))
-    if not paths:
-        raise DatasetError(f"{gt_dir}: no video JSON files")
     frames: list[FrameRecord] = []
-    for path in paths:
+    for path in video_files(gt_dir):
         frames.extend(parse_video_file(path, schema))
     frames.sort(key=lambda r: (r.video_id, r.frame_id))
     return frames
@@ -341,13 +364,7 @@ def _parse_detection(
     score = _expect_number(obj.get("score"), f"{locus}.score")
     if not 0.0 <= score <= 1.0:
         raise DatasetError(f"{locus}.score: {score} outside [0, 1]")
-    mask_raw = obj.get("mask")
-    mask = None
-    if mask_raw is not None:
-        try:
-            mask = RleMask.from_json_dict(mask_raw)
-        except MaskError as exc:
-            raise DatasetError(f"{locus}.mask: {exc}") from exc
+    mask = None if obj.get("mask") is None else _parse_mask(obj["mask"], locus)
     bbox_raw = obj.get("bbox")
     bbox = None
     if bbox_raw is not None:
@@ -402,12 +419,7 @@ def read_predictions(
     """Load a prediction file for the given evaluation mode."""
     if mode not in ("seg", "det", "rec"):
         raise DatasetError(f"unknown mode {mode!r}")
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+    doc = load_json(path)
     if not isinstance(doc, list):
         raise DatasetError(f"{path}: top level must be an array of records")
 
@@ -429,6 +441,16 @@ def read_predictions(
     for idx, obj in enumerate(doc):
         records_d.append(_parse_detection(obj, f"{path}[{idx}]", schema))
     return records_d
+
+
+def read_values(path: str | Path) -> list[float]:
+    """Load per-subset metric values: a JSON array of finite numbers."""
+    doc = load_json(path)
+    if not isinstance(doc, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
+    ):
+        raise DatasetError(f"{path}: expected a JSON array of numbers")
+    return [_expect_number(v, f"{path}[{idx}]") for idx, v in enumerate(doc)]
 
 
 def dataset_stats(frames: list[FrameRecord], schema: TripletSchema) -> StatsSummary:

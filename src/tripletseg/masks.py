@@ -33,13 +33,15 @@ class RleMask:
     def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:
             raise MaskError(f"mask size {self.height}x{self.width} must be positive")
+        if self.height * self.width >= 2**63:
+            raise MaskError(f"mask size {self.height}x{self.width} overflows int64")
         if not self.counts:
             raise MaskError("empty counts")
         if len(self.counts) > 1 and self.counts[-1] == 0:
             raise MaskError("trailing zero count")
         total = 0
         for idx, c in enumerate(self.counts):
-            if not isinstance(c, (int, np.integer)):
+            if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
                 raise MaskError(f"counts[{idx}] is not an integer")
             if c < 0:
                 raise MaskError(f"counts[{idx}] is negative")
@@ -79,12 +81,12 @@ class RleMask:
         if (
             not isinstance(size, (list, tuple))
             or len(size) != 2
-            or not all(isinstance(s, int) for s in size)
+            or not all(isinstance(s, int) and not isinstance(s, bool) for s in size)
         ):
             raise MaskError("mask 'size' must be [height, width] integers")
         if not isinstance(counts, (list, tuple)):
             raise MaskError("mask 'counts' must be a list of integers")
-        return cls(height=size[0], width=size[1], counts=tuple(int(c) for c in counts))
+        return cls(height=size[0], width=size[1], counts=tuple(counts))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"size": [self.height, self.width], "counts": list(self.counts)}

@@ -133,7 +133,7 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
         source = str(path)
 
@@ -143,12 +143,13 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
         comment_lines.append(lines.pop(0))
     overrides = _parse_header_overrides(comment_lines)
 
-    reader = csv.reader(lines)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{source}: empty schema file") from None
-    if [h.strip() for h in header] != _HEADER:
+        rows = list(csv.reader(lines))
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise SchemaError(f"{source}: {exc}") from exc
+    if not rows:
+        raise SchemaError(f"{source}: empty schema file")
+    if [h.strip() for h in rows[0]] != _HEADER:
         raise SchemaError(
             f"{source}: bad header, expected {','.join(_HEADER)}"
         )
@@ -159,7 +160,7 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
     target_names: dict[int, str] = {}
     seen_combos: set[tuple[int, int, int]] = set()
 
-    for lineno, row in enumerate(reader, start=len(comment_lines) + 2):
+    for lineno, row in enumerate(rows[1:], start=len(comment_lines) + 2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 7:

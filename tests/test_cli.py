@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tripletseg
 from synth import rect_rle
@@ -291,6 +297,41 @@ def test_align_rejects_jobs_below_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_align_rejects_unknown_label_triplet(tmp_path, capsys):
+    masks_dir = tmp_path / "masks"
+    masks_dir.mkdir()
+    doc = {
+        "video_id": "v", "width": W, "height": H,
+        "frames": [{
+            "frame_id": 0,
+            "frame_triplets": [],
+            "instances": [
+                {"instance_id": 0, "instrument_id": 0,
+                 "mask": _mask(0, 0).to_json_dict()},
+            ],
+        }],
+    }
+    (masks_dir / "v.json").write_text(json.dumps(doc))
+    labels_file = tmp_path / "labels.csv"
+    labels_file.write_text("video_id,frame_id,triplet_id\nv,0,9999\n")
+    code = main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                 "--out", str(tmp_path / "aligned")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "(v, 0)" in err[0] and "unknown triplet 9999" in err[0]
+
+
+def test_non_utf8_schema_is_domain_error(gt_dir, tmp_path, capsys):
+    schema_file = tmp_path / "schema.csv"
+    schema_file.write_bytes(b"triplet_id,instrument_id\xff\n")
+    code = main(["stats", "--gt", str(gt_dir), "--schema", str(schema_file)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(schema_file) in err[0] and "unexpected failure" not in err[0]
+
+
 def test_compare_values_form(tmp_path, capsys):
     values_a = tmp_path / "a.json"
     values_b = tmp_path / "b.json"
@@ -445,3 +486,168 @@ def test_console_script_subprocess(gt_dir):
     )
     assert result.returncode == 0
     assert "6 annotated frames" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# never-panic fuzzing: every mutated input ends in exit 0, 1 or 2, and a
+# failure is one stderr line that never comes from the catch-all branch
+
+FUZZ_COMMANDS = tuple(cmd.split() for cmd in (
+    "validate --gt {root}/gt",
+    "stats --gt {root}/gt",
+    "align --labels {root}/labels.csv --masks {root}/masks --out {root}/aligned"
+    " --report {root}/ambiguities.json",
+    "eval --gt {root}/gt --preds {root}/seg.json --mode seg",
+    "eval --gt {root}/gt --preds {root}/seg.json --mode det",
+    "eval --gt {root}/gt --preds {root}/rec.json --mode rec",
+    "compare --values-a {root}/values.json --values-b {root}/values_b.json",
+    "compare --gt {root}/gt --preds-a {root}/seg.json --preds-b {root}/seg_b.json"
+    " --mode seg --n-subsets 3 --subset-size 1",
+))
+FUZZ_TARGETS = ("gt/vid01.json", "masks/vid01.json", "labels.csv", "seg.json",
+                "rec.json", "values.json")
+MASK_TARGETS = ("gt/vid01.json", "masks/vid01.json", "seg.json")
+MUTATIONS = ("truncate", "drop", "wrong_type", "rle_sum", "huge", "nan",
+             "non_utf8", "deep")
+DEEP = "\x00deep\x00"
+
+
+@pytest.fixture(scope="module")
+def canonical_files(tmp_path_factory, schema):
+    """Bytes of a small fixture that every FUZZ_COMMANDS entry accepts,
+    so each failure the fuzz test sees comes from its one mutation."""
+    root = tmp_path_factory.mktemp("canonical")
+    frames = [
+        FrameRecord(
+            video_id="vid01", frame_id=f, width=W, height=H,
+            instances=(GroundedInstance(
+                instance_id=0, instrument_id=schema.project(tid, "i"),
+                triplet_id=tid, mask=_mask(f, f),
+            ),),
+            frame_triplets=(tid,),
+        )
+        for f, tid in enumerate((0, 50, 94))
+    ]
+    write_ground_truth(frames, root / "gt")
+    gt = json.loads((root / "gt" / "vid01.json").read_text())
+    files = {"gt/vid01.json": (root / "gt" / "vid01.json").read_bytes()}
+    seg = json.loads(_write_perfect_preds(root / "gt", root / "seg.json").read_text())
+    files["seg.json"] = json.dumps(seg).encode()
+    files["seg_b.json"] = json.dumps(seg[1:]).encode()
+    for frame in gt["frames"]:
+        for inst in frame["instances"]:
+            del inst["triplet_id"]
+    files["masks/vid01.json"] = json.dumps(gt).encode()
+    files["labels.csv"] = b"video_id,frame_id,triplet_id\n" + b"".join(
+        f"vid01,{r.frame_id},{r.frame_triplets[0]}\n".encode() for r in frames)
+    files["rec.json"] = json.dumps([
+        {"video_id": "vid01", "frame_id": r.frame_id,
+         "scores": [float(t in r.frame_triplets) for t in range(schema.n_triplets)]}
+        for r in frames
+    ]).encode()
+    files["values.json"] = b"[91.3, 89.9, 90.9, 91.2]"
+    files["values_b.json"] = b"[90.0, 90.0, 90.0, 90.0]"
+    assert [code for _, code, _ in _run_commands(files)] == [0] * len(FUZZ_COMMANDS)
+    return files
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON tree, parents first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    return [slot for key, value in items for slot in [(node, key), *_slots(value)]]
+
+
+def _mutate(raw: bytes, name: str, kind: str, at: int, pick: int) -> bytes:
+    """Apply one mutation; ``at`` chooses the position, ``pick`` the value."""
+    if kind == "truncate":
+        return raw[:at % len(raw)]
+    if kind == "non_utf8":
+        at %= len(raw) + 1
+        return raw[:at] + b"\xff\xfe" + raw[at:]
+    if name.endswith(".csv"):
+        doc = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+        slots = [(row, i) for row in doc for i in range(len(row))]
+    else:
+        doc = json.loads(raw)
+        slots = _slots(doc)
+        if kind == "rle_sum":
+            slots = [(c, k) for c, k in slots if k == "counts"]
+    container, key = slots[at % len(slots)]
+    if kind == "drop":
+        del container[key]
+    elif kind == "rle_sum":
+        container[key][-1] += (-1, 1)[pick % 2]
+    else:
+        values = {
+            "wrong_type": ["x", None, True, [], {}, 1.5],
+            "huge": [2**63, 2**80, -(2**80), 10**400],
+            "nan": [float("nan"), float("inf"), float("-inf")],
+            "deep": [DEEP],
+        }[kind]
+        container[key] = values[pick % len(values)]
+    depth = (50, 100_000)[pick % 2] if kind == "deep" else 0
+    nested = "[" * depth + "]" * depth
+    if name.endswith(".csv"):
+        out = io.StringIO(newline="")
+        csv.writer(out, lineterminator="\n").writerows(doc)
+        return out.getvalue().replace(DEEP, nested).encode()
+    return json.dumps(doc).replace(json.dumps(DEEP), nested).encode()
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _run_commands(files: dict[str, bytes]) -> list[tuple[list[str], int, list[str]]]:
+    """Write the files to a fresh directory and run each FUZZ_COMMANDS entry
+    on them. Returns each argv, its exit code, and its stderr lines plus the
+    package's log records, which pytest keeps from reaching stderr."""
+    records = _Records()
+    package_log = logging.getLogger("tripletseg")
+    package_log.addHandler(records)
+    results = []
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, raw in files.items():
+                (Path(tmp) / name).parent.mkdir(exist_ok=True)
+                (Path(tmp) / name).write_bytes(raw)
+            for cmd in FUZZ_COMMANDS:
+                argv = [a.format(root=tmp) for a in cmd]
+                err = io.StringIO()
+                records.lines.clear()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                results.append((argv, code, err.getvalue().splitlines() + records.lines))
+    finally:
+        package_log.removeHandler(records)
+    return results
+
+
+@given(kind=st.sampled_from(MUTATIONS), target=st.sampled_from(FUZZ_TARGETS),
+       at=st.integers(0, 2**16), pick=st.integers(0, 11))
+@example(kind="non_utf8", target="gt/vid01.json", at=0, pick=0)
+@example(kind="non_utf8", target="seg.json", at=0, pick=0)
+@example(kind="non_utf8", target="labels.csv", at=0, pick=0)
+@example(kind="deep", target="seg.json", at=0, pick=1)
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+def test_cli_never_panics_on_mutated_inputs(canonical_files, kind, target, at, pick):
+    if kind == "rle_sum":  # only these files carry RLE counts
+        target = MASK_TARGETS[FUZZ_TARGETS.index(target) % len(MASK_TARGETS)]
+    files = dict(canonical_files)
+    files[target] = _mutate(files[target], target, kind, at, pick)
+    for argv, code, lines in _run_commands(files):
+        assert code in (0, 1, 2), argv
+        if code:
+            assert len(lines) == 1, (argv, lines)
+            assert "unexpected failure" not in lines[0]

@@ -89,6 +89,16 @@ def test_from_json_dict_validation():
         {"size": [2, 2]},
         {"counts": [4]},
         {"size": [2, 2], "counts": "4"},
+        # counts and sizes are checked as they are, never coerced
+        {"size": [2, 2], "counts": ["2", "2"]},
+        {"size": [2, 2], "counts": [True, 3]},
+        {"size": [2, 2], "counts": ["x", 2]},
+        {"size": [2, 2], "counts": [None, 2]},
+        {"size": [2, 2], "counts": [[1], 3]},
+        {"size": [2, 2], "counts": [2.0, 2]},
+        {"size": [True, 4], "counts": [4]},
+        # more pixels than an int64 run offset can hold
+        {"size": [2**40, 2**40], "counts": [0, 2**80]},
     ):
         with pytest.raises(MaskError):
             RleMask.from_json_dict(bad)

@@ -111,6 +111,8 @@ def test_custom_schema_without_overrides(tmp_path):
         ("0,0,0,0,a,b,\n", "empty target name"),
         ("0,-1,0,0,a,b,c\n", "negative id"),
         ("0,0,0,x,a,b,c\n", "non-integer"),
+        pytest.param("0,0,0,0," + "a" * 200_000 + ",b,c\n", "field larger than field limit",
+                     id="oversized-field"),
     ],
 )
 def test_schema_rejects_bad_rows(tmp_path, rows, message):
