@@ -260,21 +260,7 @@ def alignment_stats(
     assigned ones plus the three label-side ambiguity categories.
     """
     counts = report.counts()
-
-    def _bucket(per_video: dict[str, dict[str, int]], vid: str) -> dict[str, int]:
-        return per_video.setdefault(
-            vid, {"assigned": 0, **dict.fromkeys(AMBIGUITY_KINDS, 0)}
-        )
-
-    per_video: dict[str, dict[str, int]] = {}
-    assigned = 0
-    for r in frames:
-        n = sum(1 for g in r.instances if g.triplet_id is not None)
-        if n:
-            _bucket(per_video, r.video_id)["assigned"] += n
-            assigned += n
-    for e in report.entries:
-        _bucket(per_video, e.video_id)[e.kind] += 1
+    assigned = sum(g.triplet_id is not None for r in frames for g in r.instances)
     blocked = (
         counts["MultiInstanceOneTriplet"]
         + counts["MultiTripletOneInstance"]
@@ -286,5 +272,4 @@ def alignment_stats(
         "total_labels_on_matched_frames": total,
         "assignment_rate": assigned / total if total else 1.0,
         "counts": counts,
-        "per_video": dict(sorted(per_video.items())),
     }

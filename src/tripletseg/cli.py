@@ -14,8 +14,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import alignment, dataset_io, evaluation, fusion, stats
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
@@ -32,18 +30,6 @@ def _add_schema_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_components(raw: str) -> tuple[str, ...]:
-    comps = tuple(c.strip().lower() for c in raw.split(",") if c.strip())
-    for c in comps:
-        if c not in COMPONENTS:
-            raise TripletSegError(
-                f"unknown component {c!r}; choose from {', '.join(COMPONENTS)}"
-            )
-    if not comps:
-        raise TripletSegError("no components given")
-    return comps
-
-
 def _write_json(path: str | Path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -57,7 +43,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         try:
             frames = dataset_io.parse_video_file(path, schema)
         except TripletSegError as exc:
-            print(f"{exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             errors += 1
             continue
         n_frames += len(frames)
@@ -99,11 +85,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_eval_config(args: argparse.Namespace) -> evaluation.EvalConfig:
+def _build_eval_config(args: argparse.Namespace, components: str) -> evaluation.EvalConfig:
+    """The shared eval flags; ``components`` is a comma-separated list,
+    checked by ``EvalConfig``."""
     return evaluation.EvalConfig(
         mode=args.mode,
         iou_threshold=args.iou_threshold,
-        components=_parse_components(args.components),
+        components=tuple(c.strip().lower() for c in components.split(",") if c.strip()),
         averaging=args.averaging,
         ap_method=args.ap_method,
         jobs=args.jobs,
@@ -112,7 +100,7 @@ def _build_eval_config(args: argparse.Namespace) -> evaluation.EvalConfig:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
-    config = _build_eval_config(args)
+    config = _build_eval_config(args, args.components)
     frames = dataset_io.read_ground_truth(args.gt, schema)
     preds = dataset_io.read_predictions(args.preds, args.mode, schema)
     report = evaluation.evaluate(frames, preds, config, schema)
@@ -145,21 +133,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for name in ("gt", "preds_a", "preds_b"):
             if getattr(args, name) is None:
                 raise TripletSegError(f"--{name.replace('_', '-')} is required")
+        config = _build_eval_config(args, args.metric)
+        if len(config.components) != 1:
+            raise TripletSegError(f"--metric names one component, got {args.metric!r}")
+        (component,) = config.components
         schema = load_schema(args.schema)
-        component = args.metric.lower()
-        if component not in COMPONENTS:
-            raise TripletSegError(
-                f"unknown metric component {args.metric!r}; "
-                f"choose from {', '.join(COMPONENTS)}"
-            )
-        config = evaluation.EvalConfig(
-            mode=args.mode,
-            iou_threshold=args.iou_threshold,
-            components=(component,),
-            averaging=args.averaging,
-            ap_method=args.ap_method,
-            jobs=args.jobs,
-        )
         frames = dataset_io.read_ground_truth(args.gt, schema)
         preds_a = dataset_io.read_predictions(args.preds_a, args.mode, schema)
         preds_b = dataset_io.read_predictions(args.preds_b, args.mode, schema)
@@ -201,70 +179,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fusion_check(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    d = args.d
-    params = fusion.FusionParams.random(d, args.tissue_classes, rng)
-    queries = rng.standard_normal((args.queries, d))
-    logits = rng.standard_normal((args.height, args.width, args.tissue_classes))
-
-    checks: list[tuple[str, bool]] = []
-
-    features = fusion.encode_anatomy(logits, params.anatomy_proj, args.levels)
-    _, weights = fusion.attention(queries, features, params, return_weights=True)
-    row_err = float(np.abs(weights.sum(axis=1) - 1.0).max())
-    checks.append((f"softmax rows sum to 1 (max err {row_err:.2e})", row_err <= 1e-12))
-
-    identical = np.array_equal(
-        fusion.gated_fusion(queries, np.zeros_like(queries),
-                            params.gate_weight, params.gate_bias),
-        queries,
+    checks, report = fusion.self_check(
+        args.seed, args.d, args.queries, args.height, args.width,
+        args.tissue_classes, args.levels,
     )
-    checks.append(("zero context leaves queries untouched", identical))
-
-    context = fusion.attention(queries, features, params)
-    half = fusion.gated_fusion(
-        queries, context, np.zeros((d, d)), np.zeros(d)
-    )
-    half_err = float(np.abs(half - (queries + 0.5 * context)).max())
-    checks.append(
-        (f"zero gate params give half-strength residual (max err {half_err:.2e})",
-         half_err <= 1e-15)
-    )
-
-    saturated = fusion.gated_fusion(
-        queries, context, np.zeros((d, d)), np.full(d, -20.0)
-    )
-    sat_bound = 2.1e-9 * float(np.abs(context).max())
-    sat_err = float(np.abs(saturated - queries).max())
-    checks.append(
-        (f"saturated gate suppresses the residual (max delta {sat_err:.2e})",
-         sat_err <= sat_bound)
-    )
-
-    perm = rng.permutation(args.queries)
-    out = fusion.fusion_forward(queries, logits, params, args.levels)
-    out_perm = fusion.fusion_forward(queries[perm], logits, params, args.levels)
-    checks.append(
-        ("permuting queries permutes outputs", np.array_equal(out[perm], out_perm))
-    )
-
-    report = fusion.grad_check(params, queries, logits, args.levels)
-    checks.append(
-        (f"analytic gradients match finite differences "
-         f"(worst block {max(report.block_errors.values()):.2e})", report.passed)
-    )
-
-    control = fusion.grad_check(
-        params, queries, logits, args.levels, corrupt="gate_weight"
-    )
-    checks.append(
-        ("corrupted gradient is flagged by the check", not control.passed)
-    )
-
-    all_ok = True
     for label, ok in checks:
         print(f"{'pass' if ok else 'FAIL'}  {label}")
-        all_ok = all_ok and ok
     print(report.render_text())
     if args.json_out:
         _write_json(args.json_out, {
@@ -272,7 +192,7 @@ def _cmd_fusion_check(args: argparse.Namespace) -> int:
             "checks": {label: ok for label, ok in checks},
             "grad_check": report.to_json_dict(),
         })
-    return 0 if all_ok else 1
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,7 +59,9 @@ class EvalConfig:
             raise EvaluationError("components must be non-empty")
         for comp in self.components:
             if comp not in COMPONENTS:
-                raise EvaluationError(f"unknown component {comp!r}")
+                raise EvaluationError(
+                    f"unknown component {comp!r}; choose from {', '.join(COMPONENTS)}"
+                )
         if self.averaging not in ("pooled", "per_video"):
             raise EvaluationError(f"unknown averaging {self.averaging!r}")
         if self.ap_method not in (None, "envelope", "step"):
@@ -186,12 +188,20 @@ def _pred_geometry(
     index: int, det: DetectionRecord, mode: str, frame_size: tuple[int, int] | None
 ) -> RleMask | BBox:
     """The geometry a prediction is scored with, checked before any IoU is
-    computed: a mask must fit the grid of its ground-truth frame (if the
+    computed: a mask or det box must fit its ground-truth frame (if the
     frame is known), and a det prediction without a box needs a non-empty
     mask."""
     where = f"prediction {index} ({det.video_id}, {det.frame_id}) triplet {det.triplet_id}"
     if mode == "det" and det.bbox is not None:
-        return det.bbox
+        box = det.bbox
+        if frame_size is not None and (
+            box.y + box.h > frame_size[0] or box.x + box.w > frame_size[1]
+        ):
+            raise EvaluationError(
+                f"{where}: bbox [{box.x}, {box.y}, {box.w}, {box.h}] does not fit "
+                f"frame size {frame_size[0]}x{frame_size[1]}"
+            )
+        return box
     if det.mask is None:
         need = "masks" if mode == "seg" else "a mask or a bbox"
         raise EvaluationError(f"{mode} mode requires {need} on all predictions; {where} has none")

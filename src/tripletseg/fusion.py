@@ -16,7 +16,7 @@ component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -141,6 +141,27 @@ def _flatten_levels(features: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([lvl.reshape(-1, d) for lvl in features], axis=0)
 
 
+def _attend(queries: np.ndarray, tokens: np.ndarray, params: FusionParams):
+    """The one forward pass of attention, returning its intermediates
+    ``q_proj, keys, values, weights, context``."""
+    if queries.ndim != 2 or queries.shape[1] != params.d:
+        raise ValueError(
+            f"queries must be (n, {params.d}), got shape {queries.shape}"
+        )
+    if tokens.shape[1] != params.d:
+        raise ValueError(
+            f"feature channels {tokens.shape[1]} do not match d={params.d}"
+        )
+    q_proj = queries @ params.query_proj
+    keys = tokens @ params.key_proj
+    values = tokens @ params.value_proj
+    scores = (q_proj @ keys.T) * (1.0 / np.sqrt(params.d))
+    scores = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    weights = exp / exp.sum(axis=1, keepdims=True)
+    return q_proj, keys, values, weights, weights @ values
+
+
 def attention(
     queries: np.ndarray,
     features: list[np.ndarray],
@@ -149,23 +170,7 @@ def attention(
 ):
     """Scaled dot-product cross-attention of queries over anatomy tokens."""
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != params.d:
-        raise ValueError(
-            f"queries must be (n, {params.d}), got shape {queries.shape}"
-        )
-    tokens = _flatten_levels(features)
-    if tokens.shape[1] != params.d:
-        raise ValueError(
-            f"feature channels {tokens.shape[1]} do not match d={params.d}"
-        )
-    q_proj = queries @ params.query_proj
-    keys = tokens @ params.key_proj
-    values = tokens @ params.value_proj
-    scores = (q_proj @ keys.T) / np.sqrt(params.d)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores)
-    weights = exp / exp.sum(axis=1, keepdims=True)
-    context = weights @ values
+    *_, weights, context = _attend(queries, _flatten_levels(features), params)
     if return_weights:
         return context, weights
     return context
@@ -215,15 +220,7 @@ def loss_and_gradients(
     # forward, keeping intermediates
     features = encode_anatomy(logits, params.anatomy_proj, levels)
     tokens = _flatten_levels(features)
-    q_proj = queries @ params.query_proj
-    keys = tokens @ params.key_proj
-    values = tokens @ params.value_proj
-    scale = 1.0 / np.sqrt(params.d)
-    scores = (q_proj @ keys.T) * scale
-    scores = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores)
-    weights = exp / exp.sum(axis=1, keepdims=True)
-    context = weights @ values
+    q_proj, keys, values, weights, context = _attend(queries, tokens, params)
     pre_gate = context @ params.gate_weight + params.gate_bias
     gate = _sigmoid(pre_gate)
     output = queries + gate * context
@@ -242,6 +239,7 @@ def loss_and_gradients(
     # softmax rows: dS = W * (dW - sum(dW * W, rows))
     row_dot = (d_weights * weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - row_dot)
+    scale = 1.0 / np.sqrt(params.d)
     d_q_proj = (d_scores @ keys) * scale
     d_keys = (d_scores.T @ q_proj) * scale
 
@@ -336,29 +334,16 @@ def grad_check(
         analytic = dict(analytic)
         analytic[corrupt] = -analytic[corrupt]
 
-    blocks: dict[str, np.ndarray] = {
-        "queries": queries,
-        "gate_weight": params.gate_weight,
-        "gate_bias": params.gate_bias,
-        "query_proj": params.query_proj,
-        "key_proj": params.key_proj,
-        "value_proj": params.value_proj,
-        "anatomy_proj": params.anatomy_proj,
+    blocks = {
+        name: queries if name == "queries" else getattr(params, name)
+        for name in PARAM_BLOCKS
     }
 
-    def loss_at(block_name: str, values: np.ndarray) -> float:
-        mutable = {name: arr.copy() for name, arr in blocks.items()}
-        mutable[block_name] = values
-        trial = FusionParams(
-            query_proj=mutable["query_proj"],
-            key_proj=mutable["key_proj"],
-            value_proj=mutable["value_proj"],
-            gate_weight=mutable["gate_weight"],
-            gate_bias=mutable["gate_bias"],
-            anatomy_proj=mutable["anatomy_proj"],
-        )
-        loss, _ = loss_and_gradients(trial, mutable["queries"], logits, levels)
-        return loss
+    def loss_at(name: str, values: np.ndarray) -> float:
+        if name == "queries":
+            return loss_and_gradients(params, values, logits, levels)[0]
+        trial = replace(params, **{name: values})
+        return loss_and_gradients(trial, queries, logits, levels)[0]
 
     errors: dict[str, float] = {}
     for name, base in blocks.items():
@@ -383,3 +368,46 @@ def grad_check(
     return GradCheckReport(
         step=step, tolerance=tolerance, block_errors=errors, passed=passed
     )
+
+
+def self_check(
+    seed: int, d: int, n_queries: int, height: int, width: int,
+    n_tissue_classes: int, levels: int,
+) -> tuple[list[tuple[str, bool]], GradCheckReport]:
+    """Invariants of the fusion math on random inputs drawn from ``seed``:
+    the ``(label, passed)`` checks in a fixed order, and the report of the
+    uncorrupted gradient check."""
+    rng = np.random.default_rng(seed)
+    params = FusionParams.random(d, n_tissue_classes, rng)
+    queries = rng.standard_normal((n_queries, d))
+    logits = rng.standard_normal((height, width, n_tissue_classes))
+
+    features = encode_anatomy(logits, params.anatomy_proj, levels)
+    context, weights = attention(queries, features, params, return_weights=True)
+    row_err = float(np.abs(weights.sum(axis=1) - 1.0).max())
+    untouched = gated_fusion(
+        queries, np.zeros_like(queries), params.gate_weight, params.gate_bias
+    )
+    half = gated_fusion(queries, context, np.zeros((d, d)), np.zeros(d))
+    half_err = float(np.abs(half - (queries + 0.5 * context)).max())
+    saturated = gated_fusion(queries, context, np.zeros((d, d)), np.full(d, -20.0))
+    sat_err = float(np.abs(saturated - queries).max())
+    perm = rng.permutation(n_queries)
+    out = fusion_forward(queries, logits, params, levels)
+    out_perm = fusion_forward(queries[perm], logits, params, levels)
+    report = grad_check(params, queries, logits, levels)
+    control = grad_check(params, queries, logits, levels, corrupt="gate_weight")
+    worst = max(report.block_errors.values())
+    checks = [
+        (f"softmax rows sum to 1 (max err {row_err:.2e})", row_err <= 1e-12),
+        ("zero context leaves queries untouched", np.array_equal(untouched, queries)),
+        (f"zero gate params give half-strength residual (max err {half_err:.2e})",
+         half_err <= 1e-15),
+        (f"saturated gate suppresses the residual (max delta {sat_err:.2e})",
+         sat_err <= 2.1e-9 * float(np.abs(context).max())),
+        ("permuting queries permutes outputs", np.array_equal(out[perm], out_perm)),
+        (f"analytic gradients match finite differences (worst block {worst:.2e})",
+         report.passed),
+        ("corrupted gradient is flagged by the check", not control.passed),
+    ]
+    return checks, report

@@ -83,6 +83,7 @@ def test_validate_broken_file(gt_dir, capsys):
     assert main(["validate", "--gt", str(gt_dir)]) == 1
     captured = capsys.readouterr()
     assert "vid01.json" in captured.err
+    assert all(line.startswith("error: ") for line in captured.err.splitlines())
     assert "1 errors" in captured.out
 
 
@@ -164,20 +165,23 @@ def test_eval_output_byte_stable_and_jobs_invariant(gt_dir, tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("mode, frame_id, mask, message", [
-    ("seg", 1, {"size": [10, 10], "counts": [0, 100]},
+@pytest.mark.parametrize("mode, frame_id, geometry, message", [
+    ("seg", 1, {"mask": {"size": [10, 10], "counts": [0, 100]}},
      "mask size 10x10 does not match frame size 16x16"),
-    ("det", 1, {"size": [10, 10], "counts": [0, 100]},
+    ("det", 1, {"mask": {"size": [10, 10], "counts": [0, 100]}},
      "mask size 10x10 does not match frame size 16x16"),
     # checked on frames outside the ground truth too
-    ("det", 99, {"size": [H, W], "counts": [H * W]}, "empty mask and no bbox"),
-], ids=["seg-size", "det-size", "det-empty"])
+    ("det", 99, {"mask": {"size": [H, W], "counts": [H * W]}}, "empty mask and no bbox"),
+    # each side on its own: one box overflows only the width, one only the height
+    ("det", 1, {"bbox": [10, 0, 7, 4]}, "bbox [10, 0, 7, 4] does not fit frame size 16x16"),
+    ("det", 1, {"bbox": [0, 10, 4, 7]}, "bbox [0, 10, 4, 7] does not fit frame size 16x16"),
+], ids=["seg-size", "det-size", "det-empty", "det-bbox-width", "det-bbox-height"])
 def test_eval_rejects_bad_prediction_geometry(gt_dir, tmp_path, capsys,
-                                              mode, frame_id, mask, message):
+                                              mode, frame_id, geometry, message):
     preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
     records = json.loads(preds.read_text())
     records.insert(1, {"video_id": "vid01", "frame_id": frame_id,
-                       "triplet_id": 50, "score": 0.5, "mask": mask})
+                       "triplet_id": 50, "score": 0.5, **geometry})
     preds.write_text(json.dumps(records))
     code = main(["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", mode])
     assert code == 1
@@ -185,6 +189,31 @@ def test_eval_rejects_bad_prediction_geometry(gt_dir, tmp_path, capsys,
     assert len(err) == 1
     assert f"prediction 1 (vid01, {frame_id}) triplet 50" in err[0]
     assert message in err[0]
+
+
+def test_eval_accepts_bbox_on_frame_edge(gt_dir, tmp_path, capsys):
+    preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
+    records = json.loads(preds.read_text())
+    records.insert(1, {"video_id": "vid01", "frame_id": 1, "triplet_id": 50,
+                       "score": 0.5, "bbox": [W - 4, H - 4, 4, 4]})
+    preds.write_text(json.dumps(records))
+    assert main(["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", "det"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["eval", "--components", "i,x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
+    (["compare", "--metric", "x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
+    (["compare", "--metric", "i,v"], "--metric names one component, got 'i,v'"),
+], ids=["eval-unknown", "compare-unknown", "compare-two"])
+def test_bad_component_names_rejected(gt_dir, tmp_path, capsys, command, message):
+    preds = str(_write_perfect_preds(gt_dir, tmp_path / "preds.json"))
+    files = (["--preds", preds] if command[0] == "eval"
+             else ["--preds-a", preds, "--preds-b", preds])
+    assert main([*command, "--gt", str(gt_dir), *files, "--mode", "seg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
 
 
 def test_eval_component_subset(gt_dir, tmp_path, capsys):
