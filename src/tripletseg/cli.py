@@ -14,7 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from . import alignment, dataset_io, evaluation, fusion, stats
+# evaluation, stats and fusion load numpy: only the commands using them import them
+from . import alignment, dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
 
@@ -85,10 +86,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_eval_config(args: argparse.Namespace, components: str) -> evaluation.EvalConfig:
-    """The shared eval flags; ``components`` is a comma-separated list,
-    checked by ``EvalConfig``."""
-    return evaluation.EvalConfig(
+def _build_eval_config(args: argparse.Namespace, components: str):
+    """The ``EvalConfig`` of the shared eval flags; ``components`` is a
+    comma-separated list, checked by ``EvalConfig``."""
+    from .evaluation import EvalConfig
+    return EvalConfig(
         mode=args.mode,
         iou_threshold=args.iou_threshold,
         components=tuple(c.strip().lower() for c in components.split(",") if c.strip()),
@@ -99,6 +101,7 @@ def _build_eval_config(args: argparse.Namespace, components: str) -> evaluation.
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation
     schema = load_schema(args.schema)
     config = _build_eval_config(args, args.components)
     frames = dataset_io.read_ground_truth(args.gt, schema)
@@ -111,6 +114,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import evaluation, stats
     values_form = args.values_a is not None or args.values_b is not None
     pipeline_form = any(
         getattr(args, name) is not None for name in ("gt", "preds_a", "preds_b")
@@ -119,13 +123,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise TripletSegError(
             "give either --values-a/--values-b or --gt/--preds-a/--preds-b, not both"
         )
+    config = _build_eval_config(args, args.metric)
+    if len(config.components) != 1:
+        raise TripletSegError(f"--metric names one component, got {args.metric!r}")
+    (component,) = config.components
 
     if values_form:
         if args.values_a is None or args.values_b is None:
             raise TripletSegError("both --values-a and --values-b are required")
         values_a = dataset_io.read_values(args.values_a)
         values_b = dataset_io.read_values(args.values_b)
-        metric = f"mAP_{args.metric.upper()}"
+        metric = f"mAP_{evaluation.COMPONENT_LABELS[component]}"
         n_subsets = len(values_a)
         subset_size = None
         seed = None
@@ -133,10 +141,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for name in ("gt", "preds_a", "preds_b"):
             if getattr(args, name) is None:
                 raise TripletSegError(f"--{name.replace('_', '-')} is required")
-        config = _build_eval_config(args, args.metric)
-        if len(config.components) != 1:
-            raise TripletSegError(f"--metric names one component, got {args.metric!r}")
-        (component,) = config.components
         schema = load_schema(args.schema)
         frames = dataset_io.read_ground_truth(args.gt, schema)
         preds_a = dataset_io.read_predictions(args.preds_a, args.mode, schema)
@@ -179,6 +183,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fusion_check(args: argparse.Namespace) -> int:
+    from . import fusion
     checks, report = fusion.self_check(
         args.seed, args.d, args.queries, args.height, args.width,
         args.tissue_classes, args.levels,

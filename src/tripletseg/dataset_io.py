@@ -323,6 +323,7 @@ def write_ground_truth(frames: list[FrameRecord], out_dir: str | Path) -> list[P
                 f"video {video_id}: inconsistent frame sizes {sorted(sizes)}"
             )
         width, height = recs[0].width, recs[0].height
+        instances = [sorted(r.instances, key=lambda g: g.instance_id) for r in recs]
         doc = {
             "video_id": video_id,
             "width": width,
@@ -337,16 +338,24 @@ def write_ground_truth(frames: list[FrameRecord], out_dir: str | Path) -> list[P
                             "instrument_id": g.instrument_id,
                             "triplet_id": g.triplet_id,
                             "flags": sorted(g.flags),
-                            "mask": g.mask.to_json_dict(),
+                            "mask": {"size": [g.mask.height, g.mask.width], "counts": []},
                         }
-                        for g in sorted(r.instances, key=lambda g: g.instance_id)
+                        for g in insts
                     ],
                 }
-                for r in recs
+                for r, insts in zip(recs, instances)
             ],
         }
+        # the indenting encoder is slow on long lists, so counts are spliced in
+        # as it lays them out; an encoded string escapes the slot's quotes
+        parts = json.dumps(doc, indent=2).split('"counts": []')
+        sep = ",\n" + " " * 14
+        text = parts[0] + "".join(
+            f'"counts": [\n{" " * 14}{sep.join(map(str, g.mask.counts))}\n{" " * 12}]{part}'
+            for g, part in zip([g for insts in instances for g in insts], parts[1:])
+        )
         path = out_dir / f"{video_id}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        path.write_text(text + "\n", encoding="utf-8")
         written.append(path)
     return written
 

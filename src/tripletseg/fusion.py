@@ -176,6 +176,14 @@ def attention(
     return context
 
 
+def _gate(queries: np.ndarray, context: np.ndarray, gate_weight: np.ndarray,
+          gate_bias: np.ndarray):
+    """The one forward pass of the gate: ``pre_gate, gate, output``."""
+    pre_gate = context @ gate_weight + gate_bias
+    gate = _sigmoid(pre_gate)
+    return pre_gate, gate, queries + gate * context
+
+
 def gated_fusion(
     queries: np.ndarray,
     context: np.ndarray,
@@ -189,9 +197,8 @@ def gated_fusion(
         raise ValueError(
             f"queries {queries.shape} and context {context.shape} differ"
         )
-    gate = _sigmoid(context @ np.asarray(gate_weight, dtype=np.float64)
-                    + np.asarray(gate_bias, dtype=np.float64))
-    return queries + gate * context
+    return _gate(queries, context, np.asarray(gate_weight, dtype=np.float64),
+                 np.asarray(gate_bias, dtype=np.float64))[2]
 
 
 def fusion_forward(
@@ -221,9 +228,7 @@ def loss_and_gradients(
     features = encode_anatomy(logits, params.anatomy_proj, levels)
     tokens = _flatten_levels(features)
     q_proj, keys, values, weights, context = _attend(queries, tokens, params)
-    pre_gate = context @ params.gate_weight + params.gate_bias
-    gate = _sigmoid(pre_gate)
-    output = queries + gate * context
+    _, gate, output = _gate(queries, context, params.gate_weight, params.gate_bias)
 
     loss = float((output * output).sum())
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import MaskError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,21 @@ class RleMask:
             raise MaskError("empty counts")
         if len(self.counts) > 1 and self.counts[-1] == 0:
             raise MaskError("trailing zero count")
-        total = 0
-        for idx, c in enumerate(self.counts):
-            if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
-                raise MaskError(f"counts[{idx}] is not an integer")
-            if c < 0:
-                raise MaskError(f"counts[{idx}] is negative")
-            if c == 0 and idx != 0:
-                raise MaskError(f"zero count at index {idx}, only allowed first")
-            total += int(c)
+        # C builtins pass plain int counts; the loop checks the rest and names a bad index
+        if (set(map(type, self.counts)) <= {int} and self.counts[0] >= 0
+                and (len(self.counts) == 1 or min(self.counts[1:]) > 0)):
+            total = sum(self.counts)
+        else:
+            import numpy as np
+            total = 0
+            for idx, c in enumerate(self.counts):
+                if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
+                    raise MaskError(f"counts[{idx}] is not an integer")
+                if c < 0:
+                    raise MaskError(f"counts[{idx}] is negative")
+                if c == 0 and idx != 0:
+                    raise MaskError(f"zero count at index {idx}, only allowed first")
+                total += int(c)
         if total != self.height * self.width:
             raise MaskError(
                 f"counts sum {total} != {self.height}*{self.width} pixels"
@@ -61,6 +68,7 @@ class RleMask:
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
         # computed once per mask; read-only, since every caller shares them
+        import numpy as np
         counts = np.asarray(self.counts, dtype=np.int64)
         ends = np.cumsum(counts)
         starts = ends - counts
@@ -110,6 +118,7 @@ class BBox:
 
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Expand to a dense ``(height, width)`` bool array."""
+    import numpy as np
     counts = np.asarray(mask.counts, dtype=np.int64)
     values = np.zeros(len(counts), dtype=bool)
     values[1::2] = True
@@ -119,6 +128,7 @@ def rle_decode(mask: RleMask) -> np.ndarray:
 
 def rle_encode(bitmap: np.ndarray) -> RleMask:
     """Encode a dense 2-D bool array into canonical run-length form."""
+    import numpy as np
     if bitmap.ndim != 2:
         raise MaskError(f"expected 2-D array, got {bitmap.ndim}-D")
     h, w = bitmap.shape
@@ -152,6 +162,7 @@ def _interval_overlap(
     it ends. That gives at most ``|A| + |B|`` overlapping pairs, each
     contributing ``min(end) - max(start)``.
     """
+    import numpy as np
     lo = np.searchsorted(b_ends, a_starts, side="right")
     hi = np.searchsorted(b_starts, a_ends, side="left")
     n = hi - lo

@@ -25,6 +25,8 @@ COMPONENTS = ("i", "v", "t", "iv", "it", "ivt")
 # (iv, it). Pairs stay as tuples so they never collide with plain ids.
 ComponentKey = Union[int, tuple[int, int]]
 
+MAX_CLASSES = 1 << 16  # per axis: schema tables hold an entry per class id
+
 _HEADER = [
     "triplet_id",
     "instrument_id",
@@ -211,14 +213,11 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
             raise SchemaError(
                 f"{source}: {label} id {max(ids)} outside declared range [0, {count})"
             )
-
-    # Fill placeholder names so every declared class id can be printed.
-    for cid in range(n_instruments):
-        instrument_names.setdefault(cid, f"instrument_{cid}")
-    for cid in range(n_verbs):
-        verb_names.setdefault(cid, f"verb_{cid}")
-    for cid in range(n_targets):
-        target_names.setdefault(cid, f"target_{cid}")
+        if count > MAX_CLASSES:
+            raise SchemaError(f"{source}: {count} {label} classes exceed {MAX_CLASSES}")
+        if ids is not triplets:  # placeholder names, so every class id prints
+            for cid in range(count):
+                ids.setdefault(cid, f"{label}_{cid}")
 
     return TripletSchema(
         n_triplets=n_triplets,

@@ -201,16 +201,25 @@ def test_eval_accepts_bbox_on_frame_edge(gt_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, message", [
-    (["eval", "--components", "i,x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
-    (["compare", "--metric", "x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
-    (["compare", "--metric", "i,v"], "--metric names one component, got 'i,v'"),
-], ids=["eval-unknown", "compare-unknown", "compare-two"])
-def test_bad_component_names_rejected(gt_dir, tmp_path, capsys, command, message):
+@pytest.mark.parametrize("form, flags, message", [
+    ("eval", ["--components", "i,x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
+    ("pipeline", ["--metric", "x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
+    ("pipeline", ["--metric", "i,v"], "--metric names one component, got 'i,v'"),
+    ("values", ["--metric", "bogus,x"],
+     "unknown component 'bogus'; choose from i, v, t, iv, it, ivt"),
+    ("values", ["--metric", "i,v"], "--metric names one component, got 'i,v'"),
+], ids=["eval-unknown", "compare-unknown", "compare-two", "values-unknown", "values-two"])
+def test_bad_component_names_rejected(gt_dir, tmp_path, capsys, form, flags, message):
     preds = str(_write_perfect_preds(gt_dir, tmp_path / "preds.json"))
-    files = (["--preds", preds] if command[0] == "eval"
-             else ["--preds-a", preds, "--preds-b", preds])
-    assert main([*command, "--gt", str(gt_dir), *files, "--mode", "seg"]) == 1
+    values = tmp_path / "values.json"
+    values.write_text("[1.0, 2.0]")
+    argv = {
+        "eval": ["eval", "--gt", str(gt_dir), "--preds", preds, "--mode", "seg"],
+        "pipeline": ["compare", "--gt", str(gt_dir), "--preds-a", preds,
+                     "--preds-b", preds, "--mode", "seg"],
+        "values": ["compare", "--values-a", str(values), "--values-b", str(values)],
+    }[form]
+    assert main([*argv, *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
@@ -504,24 +513,65 @@ def test_fusion_check_determinism(capsys):
     assert first == second
 
 
-def test_console_script_subprocess(gt_dir):
-    # the child imports the same package as this process, installed or not
+def _child_env() -> dict[str, str]:
+    """An environment whose Python imports the same package as this
+    process, installed or not."""
     src = str(Path(tripletseg.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_console_script_subprocess(gt_dir):
     result = subprocess.run(
         [sys.executable, "-m", "tripletseg.cli", "stats", "--gt", str(gt_dir)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0
     assert "6 annotated frames" in result.stdout
+
+
+def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path):
+    # label and mask streams that align back into gt_dir
+    labels = ["video_id,frame_id,triplet_id"]
+    (tmp_path / "masks").mkdir()
+    for path in sorted(gt_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for frame in doc["frames"]:
+            labels += [f"{doc['video_id']},{frame['frame_id']},{t}"
+                       for t in frame["frame_triplets"]]
+            for inst in frame["instances"]:
+                del inst["triplet_id"]
+        (tmp_path / "masks" / path.name).write_text(json.dumps(doc))
+    (tmp_path / "labels.csv").write_text("\n".join(labels) + "\n")
+    commands = [
+        ["validate", "--gt", str(gt_dir)],
+        ["stats", "--gt", str(gt_dir)],
+        ["align", "--labels", str(tmp_path / "labels.csv"), "--masks",
+         str(tmp_path / "masks"), "--out", str(tmp_path / "aligned")],
+    ]
+    child = (
+        "import json, sys\n"
+        "from tripletseg.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        sys.exit(f'{argv[0]} loaded numpy')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(commands)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    for path in gt_dir.glob("*.json"):
+        assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
 # never-panic fuzzing: every mutated input ends in exit 0, 1 or 2, and a
 # failure is one stderr line that never comes from the catch-all branch
 
-FUZZ_COMMANDS = tuple(cmd.split() for cmd in (
+FUZZ_COMMANDS = tuple([*cmd.split(), "--schema", "{root}/schema.csv"] for cmd in (
     "validate --gt {root}/gt",
     "stats --gt {root}/gt",
     "align --labels {root}/labels.csv --masks {root}/masks --out {root}/aligned"
@@ -534,7 +584,7 @@ FUZZ_COMMANDS = tuple(cmd.split() for cmd in (
     " --mode seg --n-subsets 3 --subset-size 1",
 ))
 FUZZ_TARGETS = ("gt/vid01.json", "masks/vid01.json", "labels.csv", "seg.json",
-                "rec.json", "values.json")
+                "rec.json", "values.json", "schema.csv")
 MASK_TARGETS = ("gt/vid01.json", "masks/vid01.json", "seg.json")
 MUTATIONS = ("truncate", "drop", "wrong_type", "rle_sum", "huge", "nan",
              "non_utf8", "deep")
@@ -576,6 +626,8 @@ def canonical_files(tmp_path_factory, schema):
     ]).encode()
     files["values.json"] = b"[91.3, 89.9, 90.9, 91.2]"
     files["values_b.json"] = b"[90.0, 90.0, 90.0, 90.0]"
+    schema_csv = Path(tripletseg.__file__).parent / "data" / "triplet_schema.csv"
+    files["schema.csv"] = schema_csv.read_bytes()
     assert [code for _, code, _ in _run_commands(files)] == [0] * len(FUZZ_COMMANDS)
     return files
 
@@ -669,6 +721,7 @@ def _run_commands(files: dict[str, bytes]) -> list[tuple[list[str], int, list[st
 @example(kind="non_utf8", target="seg.json", at=0, pick=0)
 @example(kind="non_utf8", target="labels.csv", at=0, pick=0)
 @example(kind="deep", target="seg.json", at=0, pick=1)
+@example(kind="huge", target="schema.csv", at=7, pick=1)  # triplet id 2**80
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 def test_cli_never_panics_on_mutated_inputs(canonical_files, kind, target, at, pick):
     if kind == "rle_sum":  # only these files carry RLE counts

@@ -17,6 +17,7 @@ from tripletseg.dataset_io import (
     write_ground_truth,
 )
 from tripletseg.errors import DatasetError
+from tripletseg.masks import RleMask
 
 
 def _video_doc(schema):
@@ -153,6 +154,49 @@ def test_write_read_round_trip_byte_stable(tmp_path, gt_dir, schema):
     for path1 in sorted(out1.glob("*.json")):
         path2 = out2 / path1.name
         assert path1.read_bytes() == path2.read_bytes()
+
+
+def test_writer_matches_reference_encoder(tmp_path):
+    # the writer splices count lists into json.dumps output; the plain
+    # encoder over the whole document is the reference
+    flags = frozenset({'say "hi"', "back\\slash", "naïve 胆囊", "nul\x00",
+                       '"counts": ', '"counts": []'})
+    full = RleMask(height=3, width=4, counts=(0, 12))
+    pixel = RleMask(height=3, width=4, counts=(5, 1, 6))
+    frames = [
+        FrameRecord(video_id='vid "é"', frame_id=2, width=4, height=3, instances=(
+            GroundedInstance(instance_id=1, instrument_id=0, triplet_id=None,
+                             mask=full, flags=flags),
+            GroundedInstance(instance_id=0, instrument_id=2, triplet_id=17, mask=pixel),
+        ), frame_triplets=(17, 3)),
+        FrameRecord(video_id='vid "é"', frame_id=0, width=4, height=3,
+                    instances=(), frame_triplets=()),
+        FrameRecord(video_id="vid01", frame_id=5, width=4, height=3, instances=(
+            GroundedInstance(instance_id=3, instrument_id=1, triplet_id=None, mask=pixel),
+        ), frame_triplets=(9,)),
+    ]
+    written = write_ground_truth(frames, tmp_path)
+    assert [p.name for p in written] == ['vid "é".json', "vid01.json"]
+    for path in written:
+        recs = sorted((r for r in frames if f"{r.video_id}.json" == path.name),
+                      key=lambda r: r.frame_id)
+        doc = {
+            "video_id": recs[0].video_id,
+            "width": 4,
+            "height": 3,
+            "frames": [{
+                "frame_id": r.frame_id,
+                "frame_triplets": sorted(r.frame_triplets),
+                "instances": [{
+                    "instance_id": g.instance_id,
+                    "instrument_id": g.instrument_id,
+                    "triplet_id": g.triplet_id,
+                    "flags": sorted(g.flags),
+                    "mask": g.mask.to_json_dict(),
+                } for g in sorted(r.instances, key=lambda g: g.instance_id)],
+            } for r in recs],
+        }
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_read_predictions_seg(tmp_path, schema):

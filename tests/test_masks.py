@@ -63,6 +63,9 @@ def test_canonical_form_examples():
     m = RleMask(height=2, width=2, counts=(0, 1, 3))
     assert m.area == 1
     assert rle_decode(m)[0, 0]
+    # numpy integers are accepted like ints
+    m = RleMask(height=2, width=2, counts=(np.int64(1), np.int64(3)))
+    assert m.area == 3
 
 
 @pytest.mark.parametrize(
@@ -73,6 +76,13 @@ def test_canonical_form_examples():
         ((3,), "counts sum"),
         ((2, -1, 3), "negative"),
         ((), "empty counts"),
+        # each message names the first bad index
+        ((True, 3), r"^counts\[0\] is not an integer$"),
+        ((2, "2"), r"^counts\[1\] is not an integer$"),
+        ((2, 2.0), r"^counts\[1\] is not an integer$"),
+        ((1, 1, -1, 3), r"^counts\[2\] is negative$"),
+        ((1, 1, 0, 2), r"^zero count at index 2, only allowed first$"),
+        ((1, 1, 1), r"^counts sum 3 != 2\*2 pixels$"),
     ],
 )
 def test_invalid_counts_rejected(counts, message):

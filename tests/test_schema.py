@@ -113,6 +113,11 @@ def test_custom_schema_without_overrides(tmp_path):
         ("0,0,0,x,a,b,c\n", "non-integer"),
         pytest.param("0,0,0,0," + "a" * 200_000 + ",b,c\n", "field larger than field limit",
                      id="oversized-field"),
+        # one past the cap, so that without the cap the tables stay small
+        pytest.param("65536,0,0,0,a,b,c\n", "65537 triplet classes exceed 65536",
+                     id="huge-triplet-id"),
+        pytest.param("0,0,65536,0,a,b,c\n", "65537 verb classes exceed 65536",
+                     id="huge-verb-id"),
     ],
 )
 def test_schema_rejects_bad_rows(tmp_path, rows, message):
