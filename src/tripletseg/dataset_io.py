@@ -411,14 +411,16 @@ def _parse_recognition(
         raise DatasetError(
             f"{locus}.scores: expected exactly {n_classes} scores"
         )
-    scores = []
-    for s_idx, s in enumerate(scores_raw):
-        value = _expect_number(s, f"{locus}.scores[{s_idx}]")
-        if not 0.0 <= value <= 1.0:
-            raise DatasetError(f"{locus}.scores[{s_idx}]: {value} outside [0, 1]")
-        scores.append(value)
+    # C builtins pass numbers in [0, 1] (a NaN makes the sum NaN); the loop names a bad one
+    if not (scores_raw and set(map(type, scores_raw)) <= {int, float}
+            and min(scores_raw) >= 0 and max(scores_raw) <= 1
+            and (total := sum(scores_raw)) == total):
+        for s_idx, s in enumerate(scores_raw):
+            value = _expect_number(s, f"{locus}.scores[{s_idx}]")
+            if not 0.0 <= value <= 1.0:
+                raise DatasetError(f"{locus}.scores[{s_idx}]: {value} outside [0, 1]")
     return RecognitionRecord(
-        video_id=video_id, frame_id=frame_id, scores=tuple(scores)
+        video_id=video_id, frame_id=frame_id, scores=tuple(map(float, scores_raw))
     )
 
 

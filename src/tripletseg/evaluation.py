@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
 from .errors import EvaluationError, SchemaError
-from .masks import BBox, RleMask, box_iou, mask_iou, mask_to_bbox
+from .masks import BBox, RleMask, box_iou, mask_boxes, pair_ious
 from .schema import COMPONENTS, ComponentKey, TripletSchema
 
 log = logging.getLogger(__name__)
@@ -141,18 +141,21 @@ def match_from_matrix(matrix: np.ndarray, iou_threshold: float) -> list[bool]:
     the highest IoU at or above the threshold; IoU ties go to the lowest
     GT index.
     """
+    return _greedy([
+        [(g, iou) for g, iou in enumerate(row) if iou >= iou_threshold and iou > 0]
+        for row in np.asarray(matrix, dtype=np.float64).tolist()
+    ])
+
+
+def _greedy(rows: list[list[tuple[int, float]]]) -> list[bool]:
+    """``match_from_matrix`` on each row's (GT, IoU) entries at or above the threshold."""
     taken: set[int] = set()
     flags = []
-    for row in np.asarray(matrix, dtype=np.float64).tolist():
-        best_g = -1
-        best_iou = 0.0
-        for g_idx, iou in enumerate(row):
-            if iou >= iou_threshold and iou > best_iou and g_idx not in taken:
-                best_iou = iou
-                best_g = g_idx
-        if best_g >= 0:
-            taken.add(best_g)
-        flags.append(best_g >= 0)
+    for row in rows:
+        free = [(iou, -g) for g, iou in row if g not in taken]
+        if free:  # highest IoU, ties to the lowest GT index
+            taken.add(-max(free)[1])
+        flags.append(bool(free))
     return flags
 
 
@@ -211,11 +214,9 @@ def _pred_geometry(
             f"{where}: mask size {size[0]}x{size[1]} does not match "
             f"frame size {frame_size[0]}x{frame_size[1]}"
         )
-    if mode == "seg":
-        return det.mask
-    if det.mask.area == 0:
+    if mode == "det" and det.mask.area == 0:
         raise EvaluationError(f"{where}: empty mask and no bbox")
-    return mask_to_bbox(det.mask)
+    return det.mask
 
 
 @dataclass(frozen=True)
@@ -263,25 +264,6 @@ def _class_indices(
     return out
 
 
-def _frame_tp(
-    gts: list[Any], gt_cls: np.ndarray, preds: list[Any], scores: np.ndarray,
-    pred_cls: np.ndarray, iou_fn, iou_threshold: float,
-) -> np.ndarray:
-    """TP flags (predictions × components) of one frame, from one IoU
-    matrix computed once per (prediction, GT) pair. Zeroing the pairs of
-    different classes lets one greedy pass per component match all of its
-    classes: the threshold is positive, so a zeroed pair never matches."""
-    tp = np.zeros(pred_cls.shape, dtype=bool)
-    if not gts or not preds:
-        return tp
-    order = np.argsort(-scores, kind="stable")  # ties on score keep input order
-    iou = np.array([[iou_fn(preds[p], g) for g in gts] for p in order])
-    for c in range(pred_cls.shape[1]):
-        same = pred_cls[order, c][:, None] == gt_cls[None, :, c]
-        tp[order, c] = match_from_matrix(np.where(same, iou, 0.0), iou_threshold)
-    return tp
-
-
 def _match_grounded(
     gt_frames: Sequence[FrameRecord], preds: Sequence[DetectionRecord],
     config: EvalConfig, schema: TripletSchema,
@@ -289,17 +271,16 @@ def _match_grounded(
     """Ground truth consists of the grounded instances (those carrying a
     triplet assignment). Predictions on frames absent from the ground
     truth are warned about and scored as false positives in their stated
-    frame."""
-    gt_by_frame: dict[FrameKey, list[tuple[int, Any]]] = {}
+    frame. IoU is computed once per (prediction, GT) pair of a frame, all
+    frames in one batch; each component's greedy pass skips cross-class pairs."""
+    gt_by_frame: dict[FrameKey, list[tuple[int, RleMask]]] = {}
     frame_size: dict[FrameKey, tuple[int, int]] = {}
     for rec in gt_frames:
         frame_size[(rec.video_id, rec.frame_id)] = (rec.height, rec.width)
         gt_by_frame[(rec.video_id, rec.frame_id)] = [
-            (g.triplet_id, g.mask if config.mode == "seg" else mask_to_bbox(g.mask))
-            for g in rec.instances
-            if g.triplet_id is not None
+            (g.triplet_id, g.mask) for g in rec.instances if g.triplet_id is not None
         ]
-    preds_by_frame: dict[FrameKey, list[tuple[int, float, Any]]] = {}
+    preds_by_frame: dict[FrameKey, list[tuple[int, float, RleMask | BBox]]] = {}
     for index, det in enumerate(preds):
         key = (det.video_id, det.frame_id)
         preds_by_frame.setdefault(key, []).append((
@@ -326,18 +307,34 @@ def _match_grounded(
     gt_cls = classes([tid for g in gts for tid, _ in g])
     pred_cls = classes([tid for d in dets for tid, _, _ in d])
     scores = np.array([s for d in dets for _, s, _ in d], dtype=np.float64)
-    gt_cuts, pred_cuts = np.cumsum(n_gt)[:-1], np.cumsum(n_pred)[:-1]
-    iou_fn = mask_iou if config.mode == "seg" else box_iou
-    parts = [np.zeros((0, len(config.components)), dtype=bool)]
-    for g, g_cls, d, s, p_cls in zip(
-        gts, np.split(gt_cls, gt_cuts), dets,
-        np.split(scores, pred_cuts), np.split(pred_cls, pred_cuts),
-    ):
-        parts.append(_frame_tp(
-            [geom for _, geom in g], g_cls, [geom for _, _, geom in d], s, p_cls,
-            iou_fn, config.iou_threshold,
-        ))
-    tp = np.concatenate(parts)
+
+    # rows in descending score order, ties keeping input order
+    orders = [sorted(range(len(d)), key=lambda p: -d[p][1]) if g else []
+              for g, d in zip(gts, dets)]
+    pair_pred = [d[p][2] for g, d, order in zip(gts, dets, orders) for p in order for _ in g]
+    pair_gt = [m for g, order in zip(gts, orders) for _ in order for _, m in g]
+    if config.mode == "seg":
+        ious = pair_ious(pair_pred, pair_gt)
+    else:
+        masks = [m for g in gts for _, m in g]
+        masks += [x for d in dets for _, _, x in d if isinstance(x, RleMask)]
+        box = dict(zip(map(id, masks), mask_boxes(masks)))
+        ious = [box_iou(box.get(id(p), p), box[id(g)]) for p, g in zip(pair_pred, pair_gt)]
+
+    gt_cols, pred_cols = gt_cls.T.tolist(), pred_cls.T.tolist()
+    hits: list[int] = []  # flat (prediction, component) index of each TP
+    at = g0 = p0 = 0
+    for g, d, order in zip(gts, dets, orders):
+        n, frame_ious = len(g), ious[at:at + len(order) * len(g)]
+        cands = [[(j, iou) for j, iou in enumerate(frame_ious[i * n:i * n + n])
+                  if iou >= config.iou_threshold] for i in range(len(order))]
+        for c, (g_col, p_col) in enumerate(zip(gt_cols, pred_cols) if any(cands) else ()):
+            flags = _greedy([[(j, iou) for j, iou in row if p_col[p0 + p] == g_col[g0 + j]]
+                             for p, row in zip(order, cands)])
+            hits += [(p0 + p) * len(gt_cols) + c for p, hit in zip(order, flags) if hit]
+        at, g0, p0 = at + len(frame_ious), g0 + n, p0 + len(d)
+    tp = np.zeros(pred_cls.shape, dtype=bool)
+    tp.flat[hits] = True
 
     frame = np.repeat(np.arange(len(keys)), n_pred)
     gt_frame = np.repeat(np.arange(len(keys)), n_gt)

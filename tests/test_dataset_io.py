@@ -10,6 +10,7 @@ from tripletseg.dataset_io import (
     DetectionRecord,
     FrameRecord,
     GroundedInstance,
+    _parse_recognition,
     dataset_stats,
     parse_video_file,
     read_ground_truth,
@@ -251,6 +252,48 @@ def test_read_predictions_rec(tmp_path, schema):
     path.write_text(json.dumps(doc), encoding="utf-8")
     records = read_predictions(path, "rec", schema)
     assert records[0].scores[7] == 0.9
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("true", "scores[5]: expected a number, got bool"),
+        ('"0.5"', "scores[5]: expected a number, got str"),
+        ("NaN", "scores[5]: non-finite value"),
+        ("Infinity", "scores[5]: non-finite value"),
+        ("-0.1", "scores[5]: -0.1 outside [0, 1]"),
+        ("1.5", "scores[5]: 1.5 outside [0, 1]"),
+        ("1" + "0" * 400, "scores[5]: number out of range"),
+    ],
+    ids=["true", "string", "nan", "infinity", "negative", "above-one", "huge-int"],
+)
+def test_read_predictions_rec_bad_score(tmp_path, schema, text, message):
+    # a NaN between in-range values passes min() and max(), so only the
+    # sum catches it on the fast path
+    scores = ["0.5"] * schema.n_triplets
+    scores[5] = text
+    path = tmp_path / "rec.json"
+    path.write_text(
+        '[{"video_id": "v", "frame_id": 0, "scores": [' + ", ".join(scores) + "]}]",
+        encoding="utf-8",
+    )
+    with pytest.raises(DatasetError) as info:
+        read_predictions(path, "rec", schema)
+    assert str(info.value) == f"{path}[0].{message}"
+
+
+def test_read_predictions_rec_score_values(tmp_path, schema):
+    scores = [0.25] * schema.n_triplets
+    scores[1:4] = [0, 1, -0.0]
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps([{"video_id": "v", "frame_id": 0, "scores": scores}]),
+                    encoding="utf-8")
+    (record,) = read_predictions(path, "rec", schema)
+    assert [repr(s) for s in record.scores[:5]] == ["0.25", "0.0", "1.0", "-0.0", "0.25"]
+    assert all(type(s) is float for s in record.scores)
+    # a vocabulary of no triplets takes the checking loop, not min([])
+    empty = _parse_recognition({"video_id": "v", "frame_id": 0, "scores": []}, "rec", 0)
+    assert empty.scores == ()
 
 
 def test_read_predictions_rec_duplicate(tmp_path, schema):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from tripletseg.evaluation import (
     match_from_matrix,
     score,
 )
-from tripletseg.masks import BBox, box_iou, mask_iou
+from tripletseg import masks
+from tripletseg.masks import BBox, box_iou, mask_iou, mask_to_bbox
 
 H, W = 16, 16
 
@@ -102,6 +104,28 @@ def test_match_iou_tie_takes_lowest_gt_index():
     preds = [BBox(0, 0, 4, 4), BBox(0, 0, 4, 4)]
     flags = match_from_matrix(_iou_matrix(preds, gt, box_iou), 0.5)
     assert flags == [True, True]
+
+
+def test_match_from_matrix_equals_row_scan(rng):
+    # the plain row scan the greedy replaced, as reference: IoU ties, zero
+    # entries at threshold 0 and NaN entries must match as they did
+    def scan(matrix, threshold):
+        taken, flags = set(), []
+        for row in matrix:
+            best_g, best_iou = -1, 0.0
+            for g, iou in enumerate(row):
+                if iou >= threshold and iou > best_iou and g not in taken:
+                    best_g, best_iou = g, iou
+            if best_g >= 0:
+                taken.add(best_g)
+            flags.append(best_g >= 0)
+        return flags
+
+    for _ in range(300):
+        shape = (int(rng.integers(0, 5)), int(rng.integers(1, 5)))
+        matrix = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, np.nan], size=shape)
+        for threshold in (0.0, 0.5, 1.0):
+            assert match_from_matrix(matrix, threshold) == scan(matrix.tolist(), threshold)
 
 
 # average_precision
@@ -286,6 +310,78 @@ def test_unknown_frame_predictions_score_as_fp(schema, caplog):
     res = report.components["ivt"]
     assert res.per_class[0] == pytest.approx(50.0)
     assert report.frame_count == 1
+
+
+def _tied_dataset(rng, schema, with_bbox_only):
+    """Eight micro instances under distinct video ids (so frame sizes mix),
+    scores on a 0.1 grid (so ties are common), and a copy of every third
+    prediction on a frame absent from the ground truth."""
+    frames, preds = [], []
+    for k in range(8):
+        inst_frames, inst_preds = micro_instance(rng, schema, with_bbox_only)
+        frames += [replace(r, video_id=f"{r.video_id}-{k}") for r in inst_frames]
+        inst_preds = [replace(d, video_id=f"{d.video_id}-{k}", score=round(d.score, 1))
+                      for d in inst_preds]
+        preds += inst_preds + [replace(d, frame_id=d.frame_id + 100) for d in inst_preds[::3]]
+    return frames, preds
+
+
+def _reference_tp(frames, preds, config, schema):
+    """TP flags per component from one mask_iou or box_iou call per pair
+    and match_from_matrix per frame, in match-table row order."""
+    seg = config.mode == "seg"
+
+    def geometry(det):
+        return det.mask if seg else det.bbox or mask_to_bbox(det.mask)
+
+    gts = {
+        (r.video_id, r.frame_id): [
+            (g.triplet_id, g.mask if seg else mask_to_bbox(g.mask))
+            for g in r.instances if g.triplet_id is not None
+        ]
+        for r in frames
+    }
+    by_frame = {}
+    for det in preds:
+        by_frame.setdefault((det.video_id, det.frame_id), []).append(det)
+    iou_fn = mask_iou if seg else box_iou
+    flags = {comp: [] for comp in config.components}
+    for key in sorted(gts.keys() | by_frame.keys()):
+        dets, frame_gts = by_frame.get(key, []), gts.get(key, [])
+        order = np.argsort(-np.array([d.score for d in dets]), kind="stable")
+        for comp in config.components:
+            frame_flags = [False] * len(dets)
+            if dets and frame_gts:
+                matrix = np.array([[
+                    iou_fn(geometry(dets[p]), g)
+                    if schema.project(dets[p].triplet_id, comp) == schema.project(tid, comp)
+                    else 0.0
+                    for tid, g in frame_gts
+                ] for p in order])
+                for p, hit in zip(order, match_from_matrix(matrix, config.iou_threshold)):
+                    frame_flags[p] = hit
+            flags[comp] += frame_flags
+    return flags
+
+
+@pytest.mark.parametrize("mode", ["seg", "det"])
+def test_chunking_cannot_change_a_report(schema, rng, monkeypatch, mode):
+    frames, preds = _tied_dataset(rng, schema, with_bbox_only=mode == "det")
+    assert len({d.score for d in preds}) < len(preds)
+    assert any(d.frame_id >= 100 for d in preds)
+    reference = _reference_tp(frames, preds, EvalConfig(mode=mode), schema)
+    assert any(any(flags) for flags in reference.values())
+    reports = []
+    for chunk_runs in (1, 7, masks.CHUNK_RUNS):
+        monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
+        table = match(frames, preds, EvalConfig(mode=mode), schema)
+        assert {comp: rows.tp.tolist() for comp, rows in table.rows.items()} == reference
+        reports.append([
+            json.dumps(evaluate(frames, preds, EvalConfig(mode=mode, averaging=averaging),
+                                schema).to_json_dict())
+            for averaging in ("pooled", "per_video")
+        ])
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_parallel_jobs_identical_report(schema, rng):

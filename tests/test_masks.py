@@ -13,15 +13,19 @@ from oracles import (
     naive_rle_encode,
 )
 from synth import random_bitmap, random_blob, rect_rle
+from tripletseg import masks
 from tripletseg.errors import MaskError
 from tripletseg.masks import (
     BBox,
     RleMask,
     box_iou,
     foreground_intervals,
+    mask_boxes,
     mask_intersection_union,
     mask_iou,
     mask_to_bbox,
+    pair_intersections,
+    pair_ious,
     rle_decode,
     rle_encode,
 )
@@ -234,3 +238,98 @@ def test_rect_rle_helper_matches_dense(rng):
         bitmap = np.zeros((height, width), dtype=bool)
         bitmap[y0:y0 + h, x0:x0 + w] = True
         assert rect_rle(height, width, y0, x0, h, w) == rle_encode(bitmap)
+
+
+# batched kernels
+
+BIG = 2**31  # a BIG x BIG mask has 2**62 pixels
+
+
+def _kernel_pairs(rng):
+    """Pairs for one batched call: mixed frame sizes, empty masks, one
+    mask object on both sides and in several pairs, runs crossing columns,
+    and full 2**62-pixel masks."""
+    pairs = []
+    for _ in range(60):
+        h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+        pairs.append((rle_encode(random_bitmap(rng, h, w)), rle_encode(random_blob(rng, h, w))))
+    shared = rle_encode(random_blob(rng, 9, 7))
+    empty = RleMask(height=9, width=7, counts=(63,))
+    crossing = rle_encode(_flat_bitmap(5, 6, range(3, 27)))
+    pairs += [
+        (shared, shared),
+        (shared, empty),
+        (empty, shared),
+        (empty, empty),
+        (shared, rle_encode(random_blob(rng, 9, 7))),
+        (crossing, rle_encode(_flat_bitmap(5, 6, range(0, 30, 2)))),
+        (crossing, crossing),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("chunk_runs", [1, 7, masks.CHUNK_RUNS])
+def test_pair_kernels_match_bitmaps(rng, monkeypatch, chunk_runs):
+    monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
+    pairs = _kernel_pairs(rng)
+    big_a = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
+    big_b = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
+    small = len(pairs)
+    pairs += [(big_a, big_b), (big_b, big_a), (big_a, big_a)]
+    pairs += _kernel_pairs(rng)[:5]  # small masks after the big ones
+
+    inters = pair_intersections([a for a, _ in pairs], [b for _, b in pairs])
+    expected = [
+        bitmap_intersection_union(rle_decode(a), rle_decode(b))[0]
+        for a, b in pairs[:small] + pairs[small + 3:]
+    ]
+    assert inters[:small] + inters[small + 3:] == expected
+    assert inters[small:small + 3] == [2**62] * 3
+
+    scored = [(a, b) for a, b in pairs if a.area or b.area]
+    ious = pair_ious([a for a, _ in scored], [b for _, b in scored])
+    for (a, b), iou in zip(scored, ious):
+        if a.height == BIG:
+            assert iou == 1.0
+        else:
+            inter, union = bitmap_intersection_union(rle_decode(a), rle_decode(b))
+            assert iou == inter / union
+
+
+@pytest.mark.parametrize("chunk_runs", [1, 7, masks.CHUNK_RUNS])
+def test_mask_boxes_match_bitmaps(rng, monkeypatch, chunk_runs):
+    monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
+    items = [m for pair in _kernel_pairs(rng) for m in pair if m.area]
+    big = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
+    items[10:10] = [big, big]
+    boxes = mask_boxes(items)
+    assert len(boxes) == len(items)
+    for mask, box in zip(items, boxes):
+        if mask is big:
+            assert box == BBox(x=0, y=0, w=BIG, h=BIG)
+        else:
+            assert (box.x, box.y, box.w, box.h) == bitmap_bbox(rle_decode(mask))
+
+
+def test_run_table_restarts_sum_per_mask():
+    # two 2**62-pixel masks: a running sum over both would reach 2**63
+    full = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
+    half = RleMask(height=BIG, width=BIG, counts=(2**61, 2**61))
+    start, end, owner, first, n = masks._run_table([full, half])
+    assert (start.tolist(), end.tolist()) == ([0, 2**61], [2**62, 2**62])
+    assert (owner.tolist(), first.tolist(), n.tolist()) == ([0, 1], [0, 1], [1, 1])
+
+
+def test_batched_kernel_errors():
+    full = RleMask(height=2, width=2, counts=(0, 4))
+    empty = RleMask(height=2, width=2, counts=(4,))
+    wide = RleMask(height=2, width=3, counts=(0, 6))
+    with pytest.raises(MaskError, match=r"^mask size mismatch: 2x2 vs 2x3$"):
+        pair_intersections([full, full], [full, wide])
+    with pytest.raises(MaskError, match=r"^mask size mismatch: 2x3 vs 2x2$"):
+        pair_ious([full, wide], [full, full])
+    with pytest.raises(MaskError, match=r"^IoU of two empty masks is undefined$"):
+        pair_ious([full, empty], [full, empty])
+    with pytest.raises(MaskError, match=r"^cannot take bounding box of an empty mask$"):
+        mask_boxes([full, empty])
+    assert pair_ious([], []) == [] and mask_boxes([]) == []
