@@ -184,6 +184,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_fusion_check(args: argparse.Namespace) -> int:
     from . import fusion
+    for name in ("d", "queries", "height", "width", "tissue_classes", "levels"):
+        if getattr(args, name) < 1:
+            raise TripletSegError(f"--{name.replace('_', '-')} must be at least 1")
+    if args.seed < 0:
+        raise TripletSegError("--seed must be non-negative")
+    for name in ("height", "width"):
+        # a shift, not 2 ** (levels - 1): a huge --levels builds no huge int
+        if getattr(args, name) >> (args.levels - 1) == 0:
+            raise TripletSegError(
+                f"--{name} must be at least 2^(levels-1) for --levels {args.levels}"
+            )
     checks, report = fusion.self_check(
         args.seed, args.d, args.queries, args.height, args.width,
         args.tissue_classes, args.levels,

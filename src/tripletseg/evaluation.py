@@ -357,8 +357,6 @@ def _match_recognition(
     and ignored."""
     keys = [(r.video_id, r.frame_id) for r in gt_frames]
     key_index = {k: i for i, k in enumerate(keys)}
-    if len(key_index) != len(keys):
-        raise EvaluationError("duplicate (video_id, frame_id) in ground truth")
 
     n_frames = len(keys)
     scores = np.zeros((n_frames, schema.n_triplets), dtype=np.float64)
@@ -416,6 +414,8 @@ def match(
         wanted = set(frames)
         gt_frames = [r for r in gt_frames if (r.video_id, r.frame_id) in wanted]
         preds = [p for p in preds if (p.video_id, p.frame_id) in wanted]
+    if len({(r.video_id, r.frame_id) for r in gt_frames}) != len(gt_frames):
+        raise EvaluationError("duplicate (video_id, frame_id) in ground truth")
     if config.mode == "rec":
         return _match_recognition(gt_frames, preds, config, schema)
     return _match_grounded(gt_frames, preds, config, schema)

@@ -8,10 +8,11 @@ context is added back through a sigmoid gate:
     output  = Q + gate * context
 
 The anatomy encoder is a pixel-wise linear projection of tissue-class
-logits followed by repeated 2x2 average pooling. Everything is plain
-float64 numpy with hand-derived gradients, verified against central
-finite differences; this is a correctness reference, not a training
-component.
+logits followed by repeated 2x2 average pooling; pooling commutes with the
+projection, so the tokens are ``pooled @ anatomy_proj`` for the logits
+pooled alike. Everything is plain float64 numpy with hand-derived
+gradients, checked against central differences of ``fusion_forward``;
+this is a correctness reference, not a training component.
 """
 
 from __future__ import annotations
@@ -225,8 +226,7 @@ def loss_and_gradients(
     logits = np.asarray(logits, dtype=np.float64)
 
     # forward, keeping intermediates
-    features = encode_anatomy(logits, params.anatomy_proj, levels)
-    tokens = _flatten_levels(features)
+    tokens = _flatten_levels(encode_anatomy(logits, params.anatomy_proj, levels))
     q_proj, keys, values, weights, context = _attend(queries, tokens, params)
     _, gate, output = _gate(queries, context, params.gate_weight, params.gate_bias)
 
@@ -254,27 +254,10 @@ def loss_and_gradients(
     d_value_proj = tokens.T @ d_values
     d_tokens = d_keys @ params.key_proj.T + d_values @ params.value_proj.T
 
-    # un-flatten token gradients into per-level maps
-    level_grads = []
-    offset = 0
-    for lvl in features:
-        size = lvl.shape[0] * lvl.shape[1]
-        level_grads.append(
-            d_tokens[offset:offset + size].reshape(lvl.shape)
-        )
-        offset += size
-    # pooling backward: each pooled cell spreads its gradient over its
-    # 2x2 source block; cropped rows/columns receive nothing
-    for lvl in range(len(features) - 1, 0, -1):
-        g = level_grads[lvl]
-        up = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4.0
-        target = level_grads[lvl - 1]
-        patched = target.copy()
-        patched[: up.shape[0], : up.shape[1]] += up
-        level_grads[lvl - 1] = patched
-    d_level0 = level_grads[0]
-    c_in = logits.shape[2]
-    d_anatomy_proj = logits.reshape(-1, c_in).T @ d_level0.reshape(-1, params.d)
+    # the encoder is linear and pooling commutes with the projection, so the
+    # tokens are pooled @ anatomy_proj with the logits pooled the same way
+    pooled = _flatten_levels(encode_anatomy(logits, np.eye(logits.shape[2]), levels))
+    d_anatomy_proj = pooled.T @ d_tokens
 
     grads = {
         "queries": d_queries,
@@ -324,7 +307,7 @@ def grad_check(
     tolerance: float = 1e-4,
     corrupt: str | None = None,
 ) -> GradCheckReport:
-    """Compare analytic gradients to central finite differences.
+    """Compare analytic gradients to central differences of ``fusion_forward``.
 
     Per block the reported error is max|analytic - numeric| scaled by the
     largest gradient magnitude in the block. ``corrupt`` flips the sign of
@@ -346,9 +329,10 @@ def grad_check(
 
     def loss_at(name: str, values: np.ndarray) -> float:
         if name == "queries":
-            return loss_and_gradients(params, values, logits, levels)[0]
-        trial = replace(params, **{name: values})
-        return loss_and_gradients(trial, queries, logits, levels)[0]
+            out = fusion_forward(values, logits, params, levels)
+        else:
+            out = fusion_forward(queries, logits, replace(params, **{name: values}), levels)
+        return float((out * out).sum())
 
     errors: dict[str, float] = {}
     for name, base in blocks.items():

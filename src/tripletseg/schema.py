@@ -198,10 +198,10 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
     if not triplets:
         raise SchemaError(f"{source}: no triplet rows")
 
-    n_triplets = overrides.get("triplets", 100 if path is None else max(triplets) + 1)
-    n_instruments = overrides.get("instruments", 6 if path is None else max(instrument_names) + 1)
-    n_verbs = overrides.get("verbs", 10 if path is None else max(verb_names) + 1)
-    n_targets = overrides.get("targets", 15 if path is None else max(target_names) + 1)
+    n_triplets = overrides.get("triplets", max(triplets) + 1)
+    n_instruments = overrides.get("instruments", max(instrument_names) + 1)
+    n_verbs = overrides.get("verbs", max(verb_names) + 1)
+    n_targets = overrides.get("targets", max(target_names) + 1)
 
     for count, ids, label in (
         (n_triplets, triplets, "triplet"),

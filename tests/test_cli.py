@@ -513,6 +513,26 @@ def test_fusion_check_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--levels", "0"], "--levels"),
+    (["--d", "0"], "--d"),
+    (["--d", "-1"], "--d"),
+    (["--queries", "0"], "--queries"),
+    (["--height", "0"], "--height"),
+    (["--tissue-classes", "0"], "--tissue-classes"),
+    (["--height", "1", "--levels", "2"], "--height"),
+    (["--seed", "-1"], "--seed"),
+], ids=["levels-0", "d-0", "d-neg", "queries-0", "height-0", "tissue-classes-0",
+        "height-below-pyramid", "seed-neg"])
+def test_fusion_check_rejects_bad_arguments(capsys, flags, flag):
+    assert main(["fusion-check", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert flag in lines[0]
+
+
 def _child_env() -> dict[str, str]:
     """An environment whose Python imports the same package as this
     process, installed or not."""

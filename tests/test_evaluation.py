@@ -575,6 +575,14 @@ def test_subset_unknown_frame_rejected(schema, rng):
         score(table, frames={("nope", 1)})
 
 
+@pytest.mark.parametrize("mode", ["seg", "det", "rec"])
+def test_duplicate_ground_truth_frame_rejected(schema, rng, mode):
+    frames, preds = micro_instance(rng, schema)
+    with pytest.raises(EvaluationError, match=r"duplicate \(video_id, frame_id\) in ground"):
+        evaluate(frames + [frames[0]], [] if mode == "rec" else preds,
+                 EvalConfig(mode=mode), schema)
+
+
 def test_subset_oracle_equivalence(schema, rng):
     frames, preds = micro_instance(rng, schema)
     keys = sorted({(r.video_id, r.frame_id) for r in frames})

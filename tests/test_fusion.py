@@ -256,10 +256,22 @@ def test_grad_check_unknown_block(params, queries, logits):
         grad_check(params, queries, logits, levels=2, corrupt="momentum")
 
 
-def test_grad_check_three_levels(params, queries, rng):
-    logits = rng.normal(size=(9, 6, C))
-    report = grad_check(params, queries, logits, levels=3)
+# odd extents crop at every pooling level; levels=1 has no pooling at all
+@pytest.mark.parametrize("height, width, levels", [
+    (9, 6, 3), (7, 5, 3), (13, 6, 3), (9, 9, 4), (5, 7, 1),
+])
+def test_grad_check_three_levels(params, queries, rng, height, width, levels):
+    logits = rng.normal(size=(height, width, C))
+    report = grad_check(params, queries, logits, levels=levels)
     assert report.passed
+
+
+def test_grad_check_differentiates_fusion_forward(params, queries, logits, monkeypatch):
+    # the finite differences must come from the forward pass the model runs
+    from tripletseg import fusion
+    forward = fusion.fusion_forward
+    monkeypatch.setattr(fusion, "fusion_forward", lambda *args: 1.5 * forward(*args))
+    assert not grad_check(params, queries, logits, levels=2).passed
 
 
 def test_grad_check_json(params, queries, logits):
