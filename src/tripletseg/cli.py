@@ -14,8 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-# evaluation, stats and fusion load numpy: only the commands using them import them
-from . import alignment, dataset_io
+# each command imports the modules only it uses; stats and fusion load numpy
+from . import dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
 
@@ -54,6 +54,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    from . import alignment
     schema = load_schema(args.schema)
     labels = alignment.read_label_stream(args.labels)
     masks = alignment.read_mask_stream(args.masks, schema)

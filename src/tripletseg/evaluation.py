@@ -15,16 +15,21 @@ triplet space.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import numpy as np
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import add
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
 from .errors import EvaluationError, SchemaError
 from .masks import BBox, RleMask, box_iou, mask_boxes, pair_ious
 from .schema import COMPONENTS, ComponentKey, TripletSchema
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -141,9 +146,10 @@ def match_from_matrix(matrix: np.ndarray, iou_threshold: float) -> list[bool]:
     the highest IoU at or above the threshold; IoU ties go to the lowest
     GT index.
     """
+    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
     return _greedy([
-        [(g, iou) for g, iou in enumerate(row) if iou >= iou_threshold and iou > 0]
-        for row in np.asarray(matrix, dtype=np.float64).tolist()
+        [(g, iou) for g, iou in enumerate(map(float, row)) if iou >= iou_threshold and iou > 0]
+        for row in rows
     ])
 
 
@@ -159,6 +165,20 @@ def _greedy(rows: list[list[tuple[int, float]]]) -> list[bool]:
     return flags
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in numpy's float64 order (``np.add.reduce``), which fixes the
+    last bit of every AP and mAP: 8 accumulators up to 128 items, halves above."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r = [reduce(add, values[j:n - n % 8:8]) for j in range(8)]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[n - n % 8:], head)
+
+
 def average_precision(
     scored_flags: Sequence[tuple[float, bool]] | np.ndarray, gt_count: int, method: str
 ) -> float:
@@ -170,21 +190,27 @@ def average_precision(
     (classification convention). Classes without ground truth cannot be
     scored and must be excluded before calling.
     """
+    pairs = scored_flags.tolist() if hasattr(scored_flags, "tolist") else scored_flags
+    return _average_precision([s for s, _ in pairs], [tp for _, tp in pairs], gt_count, method)
+
+
+def _average_precision(
+    score: Sequence[float], tp: Sequence[bool], gt_count: int, method: str
+) -> float:
+    """``average_precision`` of a score column and its true-positive flags."""
     if method not in ("envelope", "step"):
         raise EvaluationError(f"unknown AP method {method!r}")
     if gt_count < 1:
         raise EvaluationError("average precision needs at least one GT item")
-    pairs = np.asarray(scored_flags, dtype=np.float64).reshape(-1, 2)
-    if not len(pairs):
-        return 0.0
-    order = np.argsort(-pairs[:, 0], kind="stable")
-    tp = pairs[order, 1] != 0.0
-    tp_cum = np.cumsum(tp, dtype=np.float64)
-    precision = tp_cum / np.arange(1, len(tp) + 1, dtype=np.float64)
-    if method == "envelope":
-        precision = np.maximum.accumulate(precision[::-1])[::-1]
-    # recall rises by exactly 1/gt_count at each true positive
-    return float(precision[tp].sum() / gt_count)
+    # a stable sort: tied scores keep input order
+    order = sorted(range(len(score)), key=score.__getitem__, reverse=True)
+    # precision at each true positive's rank; recall rises by 1/gt_count there
+    ranks = compress(count(1), map(tp.__getitem__, order))
+    precision = [hit / rank for hit, rank in enumerate(ranks, 1)]
+    if method == "envelope":  # the envelope's maxima lie on true positives
+        for i in range(len(precision) - 2, -1, -1):
+            precision[i] = max(precision[i], precision[i + 1])
+    return _pairwise_sum(precision) / gt_count
 
 
 def _pred_geometry(
@@ -221,46 +247,42 @@ def _pred_geometry(
 
 @dataclass(frozen=True)
 class ClassRows:
-    """One component of a match table, on dense class indices. Scored rows
-    (``frame``, ``cls``, ``score``, ``tp``) follow the table's frame order,
-    and input order within a frame; ground truth is one (``gt_frame``,
-    ``gt_cls``) entry per GT item."""
+    """One component of a match table, per dense class index ``k``: the
+    scored rows of class ``k`` (``frame[k]``, ``score[k]``, ``tp[k]``)
+    follow the table's frame order, and input order within a frame;
+    ``gt_frame[k]`` holds the frame of each of its GT items."""
 
-    frame: np.ndarray
-    cls: np.ndarray
-    score: np.ndarray
-    tp: np.ndarray
-    gt_frame: np.ndarray
-    gt_cls: np.ndarray
+    frame: list[Sequence[int]]
+    score: list[Sequence[float]]
+    tp: list[list[bool]]
+    gt_frame: list[list[int]]
 
 
 @dataclass(frozen=True)
 class MatchTable:
     """Stage-1 output. ``frames`` lists the frame keys in row order: sorted,
     with prediction-only frames, in seg/det mode; ground-truth order in rec
-    mode. ``frame_preds`` counts each frame's prediction records and
-    ``n_preds`` all records matched, including those on unknown frames."""
+    mode, where every class has one row per frame. ``frame_preds`` counts
+    each frame's prediction records and ``n_preds`` all records matched,
+    including those on unknown frames."""
 
     config: EvalConfig
     class_keys: dict[str, tuple[ComponentKey, ...]]
     frames: list[FrameKey]
-    in_gt: np.ndarray
-    frame_preds: np.ndarray
+    in_gt: list[bool]
+    frame_preds: list[int]
     n_preds: int
     rows: dict[str, ClassRows]
 
 
 def _class_indices(
     schema: TripletSchema, triplet_ids: Sequence[int], component: str
-) -> np.ndarray:
+) -> list[int]:
     """Dense class index of each triplet id; ids outside the schema raise."""
-    table = np.array(schema.class_index[component], dtype=np.int64)
-    ids = np.asarray(triplet_ids, dtype=np.int64)
-    known = (ids >= 0) & (ids < len(table))
-    out = np.full(ids.shape, -1, dtype=np.int64)
-    out[known] = table[ids[known]]
-    if (out < 0).any():
-        raise SchemaError(f"unknown triplet_id {ids[out < 0][0]}")
+    index = {t: k for t, k in enumerate(schema.class_index[component]) if k >= 0}
+    out = list(map(index.get, triplet_ids, repeat(-1)))
+    if -1 in out:
+        raise SchemaError(f"unknown triplet_id {triplet_ids[out.index(-1)]}")
     return out
 
 
@@ -298,15 +320,13 @@ def _match_grounded(
     keys = sorted(gt_by_frame.keys() | preds_by_frame.keys())
     gts = [gt_by_frame.get(k, []) for k in keys]
     dets = [preds_by_frame.get(k, []) for k in keys]
-    n_gt = np.array([len(g) for g in gts], dtype=np.int64)
-    n_pred = np.array([len(d) for d in dets], dtype=np.int64)
 
-    def classes(tids: list[int]) -> np.ndarray:  # (items, components)
-        return np.stack([_class_indices(schema, tids, c) for c in config.components], axis=1)
+    def classes(tids: list[int]) -> list[list[int]]:  # one column per component
+        return [_class_indices(schema, tids, c) for c in config.components]
 
-    gt_cls = classes([tid for g in gts for tid, _ in g])
-    pred_cls = classes([tid for d in dets for tid, _, _ in d])
-    scores = np.array([s for d in dets for _, s, _ in d], dtype=np.float64)
+    gt_cols = classes([tid for g in gts for tid, _ in g])
+    pred_cols = classes([tid for d in dets for tid, _, _ in d])
+    scores = [s for d in dets for _, s, _ in d]
 
     # rows in descending score order, ties keeping input order
     orders = [sorted(range(len(d)), key=lambda p: -d[p][1]) if g else []
@@ -321,29 +341,33 @@ def _match_grounded(
         box = dict(zip(map(id, masks), mask_boxes(masks)))
         ious = [box_iou(box.get(id(p), p), box[id(g)]) for p, g in zip(pair_pred, pair_gt)]
 
-    gt_cols, pred_cols = gt_cls.T.tolist(), pred_cls.T.tolist()
-    hits: list[int] = []  # flat (prediction, component) index of each TP
+    tp = [[False] * len(scores) for _ in config.components]
     at = g0 = p0 = 0
     for g, d, order in zip(gts, dets, orders):
         n, frame_ious = len(g), ious[at:at + len(order) * len(g)]
         cands = [[(j, iou) for j, iou in enumerate(frame_ious[i * n:i * n + n])
                   if iou >= config.iou_threshold] for i in range(len(order))]
-        for c, (g_col, p_col) in enumerate(zip(gt_cols, pred_cols) if any(cands) else ()):
+        for g_col, p_col, c_tp in zip(gt_cols, pred_cols, tp) if any(cands) else ():
             flags = _greedy([[(j, iou) for j, iou in row if p_col[p0 + p] == g_col[g0 + j]]
                              for p, row in zip(order, cands)])
-            hits += [(p0 + p) * len(gt_cols) + c for p, hit in zip(order, flags) if hit]
+            for p in compress(order, flags):
+                c_tp[p0 + p] = True
         at, g0, p0 = at + len(frame_ious), g0 + n, p0 + len(d)
-    tp = np.zeros(pred_cls.shape, dtype=bool)
-    tp.flat[hits] = True
 
-    frame = np.repeat(np.arange(len(keys)), n_pred)
-    gt_frame = np.repeat(np.arange(len(keys)), n_gt)
-    rows = {
-        comp: ClassRows(frame, pred_cls[:, c], scores, tp[:, c], gt_frame, gt_cls[:, c])
-        for c, comp in enumerate(config.components)
-    }
-    in_gt = np.array([k in gt_by_frame for k in keys], dtype=bool)
-    return MatchTable(config, schema.class_keys, keys, in_gt, n_pred, len(preds), rows)
+    frame = [f for f, d in enumerate(dets) for _ in d]
+    gt_frame = [f for f, g in enumerate(gts) for _ in g]
+    rows = {}
+    for comp, p_col, g_col, c_tp in zip(config.components, pred_cols, gt_cols, tp):
+        n_cls = len(schema.class_keys[comp])
+        rows[comp] = by_class = ClassRows(*([[] for _ in range(n_cls)] for _ in range(4)))
+        for k, f, s, hit in zip(p_col, frame, scores, c_tp):
+            by_class.frame[k].append(f)
+            by_class.score[k].append(s)
+            by_class.tp[k].append(hit)
+        for k, f in zip(g_col, gt_frame):
+            by_class.gt_frame[k].append(f)
+    return MatchTable(config, schema.class_keys, keys, [k in gt_by_frame for k in keys],
+                      list(map(len, dets)), len(preds), rows)
 
 
 def _match_recognition(
@@ -359,8 +383,8 @@ def _match_recognition(
     key_index = {k: i for i, k in enumerate(keys)}
 
     n_frames = len(keys)
-    scores = np.zeros((n_frames, schema.n_triplets), dtype=np.float64)
-    frame_preds = np.zeros(n_frames, dtype=np.int64)
+    score_rows = [(0.0,) * schema.n_triplets] * n_frames
+    frame_preds = [0] * n_frames
     seen: set[FrameKey] = set()
     unknown: set[FrameKey] = set()
     for rec in preds:
@@ -368,11 +392,16 @@ def _match_recognition(
         if key in seen:
             raise EvaluationError(f"duplicate recognition record for frame {key}")
         seen.add(key)
+        if len(rec.scores) != schema.n_triplets:
+            raise EvaluationError(
+                f"recognition record for frame {key} has {len(rec.scores)} scores; "
+                f"expected exactly {schema.n_triplets}"
+            )
         idx = key_index.get(key)
         if idx is None:
             unknown.add(key)
             continue
-        scores[idx] = rec.scores
+        score_rows[idx] = rec.scores
         frame_preds[idx] = 1
     if unknown:
         log.warning(
@@ -380,25 +409,27 @@ def _match_recognition(
             "(e.g. %s); ignored", len(unknown), sorted(unknown)[:5],
         )
 
-    tids = np.array(sorted(schema.triplets), dtype=np.int64)
+    # one score column per triplet id, over the frames
+    columns = list(zip(*score_rows)) or [()] * schema.n_triplets
+    tids = sorted(schema.triplets)
     label_tids = [t for r in gt_frames for t in r.frame_triplets]
-    label_frame = np.repeat(np.arange(n_frames), [len(r.frame_triplets) for r in gt_frames])
+    label_frame = [f for f, r in enumerate(gt_frames) for _ in r.frame_triplets]
+    frames = range(n_frames)
     rows = {}
     for comp in config.components:
-        n_cls = len(schema.class_keys[comp])
-        cls = _class_indices(schema, tids, comp)
-        by_class = np.argsort(cls, kind="stable")
-        class_scores = np.maximum.reduceat(
-            scores[:, tids[by_class]], np.searchsorted(cls[by_class], np.arange(n_cls)), axis=1
-        )
-        labels = np.zeros((n_frames, n_cls), dtype=bool)
-        labels[label_frame, _class_indices(schema, label_tids, comp)] = True
+        members: list[list[tuple[float, ...]]] = [[] for _ in schema.class_keys[comp]]
+        for t, k in zip(tids, _class_indices(schema, tids, comp)):
+            members[k].append(columns[t])
+        labels = [[False] * n_frames for _ in members]
+        for k, f in zip(_class_indices(schema, label_tids, comp), label_frame):
+            labels[k][f] = True
         rows[comp] = ClassRows(
-            np.repeat(np.arange(n_frames), n_cls), np.tile(np.arange(n_cls), n_frames),
-            class_scores.ravel(), labels.ravel(), *np.nonzero(labels),
+            [frames] * len(members),
+            [cols[0] if len(cols) == 1 else list(map(max, *cols)) for cols in members],
+            labels, [list(compress(frames, flags)) for flags in labels],
         )
-    in_gt = np.ones(n_frames, dtype=bool)
-    return MatchTable(config, schema.class_keys, keys, in_gt, frame_preds, len(preds), rows)
+    return MatchTable(config, schema.class_keys, keys, [True] * n_frames, frame_preds,
+                      len(preds), rows)
 
 
 def match(
@@ -422,46 +453,50 @@ def match(
 
 
 def _score_component(
-    rows: ClassRows, keys: tuple[ComponentKey, ...], selected: np.ndarray,
-    group: np.ndarray, n_groups: int, method: str, pred_count: int,
+    rows: ClassRows, keys: tuple[ComponentKey, ...], selected: list[bool] | None,
+    picked: list[int] | None, group: list[str] | None, method: str, pred_count: int,
 ) -> ComponentResult:
-    """Every class AP of one component over the selected frames, ranking
-    each (class, group) bucket once; groups are videos or one pool."""
-    keep = selected[rows.frame]
-    frame, cls = rows.frame[keep], rows.cls[keep]
-    pairs = np.column_stack((rows.score[keep], rows.tp[keep]))
-    gt_keep = selected[rows.gt_frame]
-    gt_frame, gt_cls = rows.gt_frame[gt_keep], rows.gt_cls[gt_keep]
-
-    # rows bucketed by (class, group); the stable sort keeps row order
-    # within a bucket, so each ranking ties exactly as in the frame sequence
-    n_buckets = len(keys) * n_groups
-    bucket = cls * n_groups + group[frame]
-    order = np.argsort(bucket, kind="stable")
-    bounds = np.searchsorted(bucket[order], np.arange(n_buckets + 1))
-    gt = np.bincount(
-        gt_cls * n_groups + group[gt_frame], minlength=n_buckets
-    ).reshape(len(keys), n_groups)
-
+    """Every class AP of one component over the selected frames (all if
+    ``selected`` is None). ``picked`` lists the selected frames in order
+    when every class has one row per frame (rec mode), and is None
+    otherwise. ``group`` names each frame's video in per-video averaging
+    and is None when pooled; rows keep their order within a video, so
+    each ranking ties exactly as in the frame sequence."""
     aps: dict[int, float] = {}
-    for k in np.flatnonzero(gt.sum(axis=1)):
-        group_aps = []
-        for g in np.flatnonzero(gt[k]):
-            b = k * n_groups + g
-            ranked = pairs[order[bounds[b]:bounds[b + 1]]]
-            group_aps.append(average_precision(ranked, int(gt[k, g]), method))
-        aps[int(k)] = float(np.mean(group_aps)) * 100.0
+    first: dict[int, int] = {}
+    gt_count = 0
+    for k, (frame, score, tp, gt_frame) in enumerate(
+            zip(rows.frame, rows.score, rows.tp, rows.gt_frame)):
+        if picked is not None:  # row f is frame f
+            frame, score, tp = picked, [score[f] for f in picked], [tp[f] for f in picked]
+        elif selected is not None:
+            keep = [selected[f] for f in frame]
+            frame, score, tp = (list(compress(col, keep)) for col in (frame, score, tp))
+        if selected is not None:
+            gt_frame = [f for f in gt_frame if selected[f]]
+        gt_count += len(gt_frame)
+        if not gt_frame:
+            continue
+        first[k] = min(frame[0], gt_frame[0]) if frame else gt_frame[0]
+        if group is None:
+            group_aps = [_average_precision(score, tp, len(gt_frame), method)]
+        else:
+            by_video: dict[str, tuple[list[float], list[bool]]] = {}
+            for f, s, hit in zip(frame, score, tp):
+                video_score, video_tp = by_video.setdefault(group[f], ([], []))
+                video_score.append(s)
+                video_tp.append(hit)
+            group_aps = [_average_precision(*by_video.get(g, ([], [])), n, method)
+                         for g, n in sorted(Counter(group[f] for f in gt_frame).items())]
+        aps[k] = _pairwise_sum(group_aps) / len(group_aps) * 100.0
 
     # mAP averages classes in order of their first frame, then class index;
     # the summation order fixes the last bit of the report's mAP
-    first = np.full(len(keys), len(selected))
-    np.minimum.at(first, cls, frame)
-    np.minimum.at(first, gt_cls, gt_frame)
     in_order = sorted(aps, key=lambda k: (first[k], k))
     return ComponentResult(
-        mAP=float(np.mean([aps[k] for k in in_order])) if aps else 0.0,
+        mAP=_pairwise_sum([aps[k] for k in in_order]) / len(aps) if aps else 0.0,
         per_class={keys[k]: ap for k, ap in aps.items()},
-        gt_count=len(gt_frame),
+        gt_count=gt_count,
         pred_count=pred_count,
     )
 
@@ -472,10 +507,8 @@ def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> Eval
     Pooled averaging ranks each class over all selected frames; per-video
     averaging takes the mean AP over the videos holding the class."""
     config = table.config
-    if frames is None:
-        selected = np.ones(len(table.frames), dtype=bool)
-        pred_count = table.n_preds
-    else:
+    selected, picked, pred_count, frame_count = None, None, table.n_preds, sum(table.in_gt)
+    if frames is not None:
         wanted = set(frames)
         position = {k: i for i, k in enumerate(table.frames) if table.in_gt[i]}
         missing = wanted - position.keys()
@@ -483,26 +516,26 @@ def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> Eval
             raise EvaluationError(
                 f"subset frames not in ground truth: {sorted(missing)[:5]}"
             )
-        selected = np.zeros(len(table.frames), dtype=bool)
-        selected[[position[k] for k in wanted]] = True
-        pred_count = int(table.frame_preds[selected].sum())
+        selected = [False] * len(table.frames)
+        for k in wanted:
+            selected[position[k]] = True
+        if config.mode == "rec":
+            picked = list(compress(count(), selected))
+        pred_count = sum(compress(table.frame_preds, selected))
+        frame_count = len(wanted)
 
-    if config.averaging == "per_video":
-        videos, group = np.unique([vid for vid, _ in table.frames], return_inverse=True)
-        n_groups = len(videos)
-    else:
-        group, n_groups = np.zeros(len(table.frames), dtype=np.int64), 1
+    group = [vid for vid, _ in table.frames] if config.averaging == "per_video" else None
     method = config.resolved_ap_method
     return EvalReport(
         mode=config.mode,
         iou_threshold=config.iou_threshold,
         averaging=config.averaging,
         ap_method=method,
-        frame_count=int((selected & table.in_gt).sum()),
+        frame_count=frame_count,
         components={
             comp: _score_component(
-                table.rows[comp], table.class_keys[comp], selected, group,
-                n_groups, method, pred_count,
+                table.rows[comp], table.class_keys[comp], selected, picked, group,
+                method, pred_count,
             )
             for comp in config.components
         },

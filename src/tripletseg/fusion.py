@@ -313,14 +313,22 @@ def grad_check(
     largest gradient magnitude in the block. ``corrupt`` flips the sign of
     one analytic block, as a negative control of the check itself.
     """
+    (report,) = _grad_checks(params, queries, logits, levels, (corrupt,), step, tolerance)
+    return report
+
+
+def _grad_checks(
+    params: FusionParams, queries: np.ndarray, logits: np.ndarray, levels: int,
+    corrupts: tuple[str | None, ...], step: float = 1e-5, tolerance: float = 1e-4,
+) -> list[GradCheckReport]:
+    """``grad_check`` once per ``corrupts`` entry, all against one set of
+    analytic and numeric gradients."""
     queries = np.asarray(queries, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
     _, analytic = loss_and_gradients(params, queries, logits, levels)
-    if corrupt is not None:
-        if corrupt not in analytic:
+    for corrupt in corrupts:
+        if corrupt is not None and corrupt not in analytic:
             raise ValueError(f"unknown parameter block {corrupt!r}")
-        analytic = dict(analytic)
-        analytic[corrupt] = -analytic[corrupt]
 
     blocks = {
         name: queries if name == "queries" else getattr(params, name)
@@ -334,7 +342,7 @@ def grad_check(
             out = fusion_forward(queries, logits, replace(params, **{name: values}), levels)
         return float((out * out).sum())
 
-    errors: dict[str, float] = {}
+    errors: list[dict[str, float]] = [{} for _ in corrupts]
     for name, base in blocks.items():
         numeric = np.zeros_like(base)
         flat_numeric = numeric.reshape(-1)
@@ -346,17 +354,16 @@ def grad_check(
             bumped[idx] = flat_base[idx] - step
             down = loss_at(name, bumped.reshape(base.shape))
             flat_numeric[idx] = (up - down) / (2.0 * step)
-        diff = float(np.abs(analytic[name] - numeric).max())
-        denom = max(
-            float(np.abs(analytic[name]).max()),
-            float(np.abs(numeric).max()),
-            1e-12,
-        )
-        errors[name] = diff / denom
-    passed = all(err <= tolerance for err in errors.values())
-    return GradCheckReport(
-        step=step, tolerance=tolerance, block_errors=errors, passed=passed
-    )
+        for corrupt, block_errors in zip(corrupts, errors):
+            grad = -analytic[name] if name == corrupt else analytic[name]
+            diff = float(np.abs(grad - numeric).max())
+            denom = max(float(np.abs(grad).max()), float(np.abs(numeric).max()), 1e-12)
+            block_errors[name] = diff / denom
+    return [
+        GradCheckReport(step=step, tolerance=tolerance, block_errors=block_errors,
+                        passed=all(err <= tolerance for err in block_errors.values()))
+        for block_errors in errors
+    ]
 
 
 def self_check(
@@ -384,8 +391,8 @@ def self_check(
     perm = rng.permutation(n_queries)
     out = fusion_forward(queries, logits, params, levels)
     out_perm = fusion_forward(queries[perm], logits, params, levels)
-    report = grad_check(params, queries, logits, levels)
-    control = grad_check(params, queries, logits, levels, corrupt="gate_weight")
+    # the negative control reuses the clean check's numeric gradients
+    report, control = _grad_checks(params, queries, logits, levels, (None, "gate_weight"))
     worst = max(report.block_errors.values())
     checks = [
         (f"softmax rows sum to 1 (max err {row_err:.2e})", row_err <= 1e-12),

@@ -550,7 +550,7 @@ def test_console_script_subprocess(gt_dir):
     assert "6 annotated frames" in result.stdout
 
 
-def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path):
+def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
     # label and mask streams that align back into gt_dir
     labels = ["video_id,frame_id,triplet_id"]
     (tmp_path / "masks").mkdir()
@@ -563,9 +563,17 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path):
                 del inst["triplet_id"]
         (tmp_path / "masks" / path.name).write_text(json.dumps(doc))
     (tmp_path / "labels.csv").write_text("\n".join(labels) + "\n")
+    # recognition scoring is plain Python too, and only align imports alignment
+    records = [{"video_id": video, "frame_id": f,
+                "scores": [float(t == (0, 50, 94)[f]) for t in range(schema.n_triplets)]}
+               for video in ("vid01", "vid02") for f in range(3)]
+    (tmp_path / "rec.json").write_text(json.dumps(records))
+    report = tmp_path / "report.json"
     commands = [
         ["validate", "--gt", str(gt_dir)],
         ["stats", "--gt", str(gt_dir)],
+        ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "rec.json"), "--mode", "rec",
+         "--averaging", "per_video", "--out", str(report)],
         ["align", "--labels", str(tmp_path / "labels.csv"), "--masks",
          str(tmp_path / "masks"), "--out", str(tmp_path / "aligned")],
     ]
@@ -575,14 +583,16 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path):
         "for argv in json.loads(sys.argv[1]):\n"
         "    if main(argv) != 0:\n"
         "        sys.exit(f'{argv[0]} failed')\n"
-        "    if 'numpy' in sys.modules:\n"
-        "        sys.exit(f'{argv[0]} loaded numpy')\n"
+        "    for name in ('numpy', 'tripletseg.alignment')[:1 if argv[0] == 'align' else 2]:\n"
+        "        if name in sys.modules:\n"
+        "            sys.exit(f'{argv[0]} loaded {name}')\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", child, json.dumps(commands)],
         capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
+    assert json.loads(report.read_text())["components"]["IVT"]["mAP"] == 100.0
     for path in gt_dir.glob("*.json"):
         assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
 

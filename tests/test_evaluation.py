@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     naive_average_precision,
@@ -21,6 +23,7 @@ from tripletseg.dataset_io import (
 from tripletseg.errors import EvaluationError
 from tripletseg.evaluation import (
     EvalConfig,
+    _pairwise_sum,
     average_precision,
     evaluate,
     evaluate_grounded,
@@ -31,6 +34,7 @@ from tripletseg.evaluation import (
 )
 from tripletseg import masks
 from tripletseg.masks import BBox, box_iou, mask_iou, mask_to_bbox
+from tripletseg.schema import COMPONENTS, TripletSchema
 
 H, W = 16, 16
 
@@ -172,6 +176,16 @@ def test_ap_matches_oracle_randomized(rng):
             )
 
 
+def test_pairwise_sum_is_numpy_sum_bit_for_bit():
+    # reports are byte-identical to numpy's pairwise float64 summation
+    rng = np.random.default_rng(11)
+    for n in [*range(301), 1000, 72000]:
+        values = 10.0 ** rng.uniform(-5, 5, n)
+        repeats = rng.choice(values[:3], n) if n else values
+        for xs in (values.tolist(), repeats.tolist()):
+            assert _pairwise_sum(xs).hex() == float(np.add.reduce(np.array(xs))).hex(), n
+
+
 # projection
 
 
@@ -194,7 +208,7 @@ def test_project_no_dedup(schema):
     frames = [_frame("v", 0, [(tid_a, _mask(0, 0))], schema)]
     dets = [_det("v", 0, tid_a, 0.5, bbox=box), _det("v", 0, tid_b, 0.4, bbox=box)]
     table = match(frames, dets, EvalConfig(mode="det", components=("i",)), schema)
-    assert table.rows["i"].tp.tolist() == [True, False]
+    assert table.rows["i"].tp[schema.class_index["i"][tid_a]] == [True, False]
 
 
 # evaluate_grounded
@@ -371,11 +385,20 @@ def test_chunking_cannot_change_a_report(schema, rng, monkeypatch, mode):
     assert any(d.frame_id >= 100 for d in preds)
     reference = _reference_tp(frames, preds, EvalConfig(mode=mode), schema)
     assert any(any(flags) for flags in reference.values())
+    # the reference's flags follow frame order, then input order; the table
+    # holds them per class in that order
+    ordered = sorted(preds, key=lambda d: (d.video_id, d.frame_id))
+    reference = {
+        comp: [[hit for hit, d in zip(flags, ordered)
+                if schema.class_index[comp][d.triplet_id] == k]
+               for k in range(len(schema.class_keys[comp]))]
+        for comp, flags in reference.items()
+    }
     reports = []
     for chunk_runs in (1, 7, masks.CHUNK_RUNS):
         monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
         table = match(frames, preds, EvalConfig(mode=mode), schema)
-        assert {comp: rows.tp.tolist() for comp, rows in table.rows.items()} == reference
+        assert {comp: rows.tp for comp, rows in table.rows.items()} == reference
         reports.append([
             json.dumps(evaluate(frames, preds, EvalConfig(mode=mode, averaging=averaging),
                                 schema).to_json_dict())
@@ -518,6 +541,17 @@ def test_recognition_unknown_frames_warned_ignored(schema, caplog):
     assert report.components["ivt"].per_class[0] == 100.0
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+def test_recognition_record_of_wrong_length_rejected(schema, extra):
+    frames = [_frame("v", f, [], schema, extra_triplets=(0, 99)) for f in range(2)]
+    preds = [_rec("v", 0, {0: 0.9}, schema),
+             RecognitionRecord("v", 1, (0.5,) * (schema.n_triplets + extra))]
+    with pytest.raises(EvaluationError, match=(
+            f"frame \\('v', 1\\) has {schema.n_triplets + extra} scores; "
+            f"expected exactly {schema.n_triplets}")):
+        evaluate(frames, preds, EvalConfig(mode="rec"), schema)
+
+
 def test_recognition_projection_by_max_matches_enumeration(schema, rng):
     frames = []
     rec_map = {}
@@ -539,6 +573,69 @@ def test_recognition_projection_by_max_matches_enumeration(schema, rng):
         assert got.per_class.keys() == want["per_class"].keys()
         for key, value in want["per_class"].items():
             assert got.per_class[key] == pytest.approx(value, abs=1e-12)
+
+
+# six triplets with ids 3 and 6 unused, so score vectors hold unscored slots
+SMALL_TRIPLETS = {0: (0, 0, 0), 1: (0, 1, 0), 2: (1, 0, 1), 4: (1, 1, 2), 5: (0, 0, 2),
+                  7: (1, 0, 0)}
+SMALL_SCHEMA = TripletSchema(
+    n_triplets=8, n_instruments=2, n_verbs=2, n_targets=3, triplets=SMALL_TRIPLETS,
+    instrument_names={0: "a", 1: "b"}, verb_names={0: "c", 1: "d"},
+    target_names={0: "e", 1: "f", 2: "g"},
+)
+# few distinct values, so scores tie, 0.0 with -0.0 among them
+TIED_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def recognition_problems(draw):
+    """Frames over up to three videos, some without a record, plus records
+    on frames absent from the ground truth, in any order."""
+    videos = draw(st.lists(st.sampled_from("abc"), max_size=12))
+    frames = [
+        FrameRecord(video_id=v, frame_id=f, width=W, height=H, instances=(),
+                    frame_triplets=tuple(sorted(draw(st.sets(
+                        st.sampled_from(sorted(SMALL_TRIPLETS)), max_size=3)))))
+        for f, v in enumerate(videos)
+    ]
+    scored = [(r.video_id, r.frame_id) for r in frames if draw(st.booleans())]
+    scored += [("z", f) for f in draw(st.sets(st.integers(100, 103), max_size=2))]
+    records = [RecognitionRecord(video_id=v, frame_id=f, scores=tuple(draw(st.lists(
+        TIED_SCORES, min_size=8, max_size=8)))) for v, f in scored]
+    return frames, draw(st.permutations(records))
+
+
+@given(problem=recognition_problems())
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_recognition_matches_oracle_with_ties(problem):
+    frames, records = problem
+    rec_map = {(r.video_id, r.frame_id): r.scores for r in records}
+    for averaging in ("pooled", "per_video"):
+        report = evaluate(frames, records, EvalConfig(mode="rec", averaging=averaging),
+                          SMALL_SCHEMA)
+        if averaging == "pooled":
+            want = oracle_recognition_eval(frames, rec_map, COMPONENTS, SMALL_SCHEMA)
+        else:  # mean over the videos holding each class, then over classes
+            per_video = [
+                oracle_recognition_eval([r for r in frames if r.video_id == v], rec_map,
+                                        COMPONENTS, SMALL_SCHEMA)
+                for v in sorted({r.video_id for r in frames})
+            ]
+            want = {}
+            for comp in COMPONENTS:
+                aps = {}
+                for result in per_video:
+                    for key, ap in result[comp]["per_class"].items():
+                        aps.setdefault(key, []).append(ap)
+                per_class = {key: sum(v) / len(v) for key, v in aps.items()}
+                m_ap = sum(per_class.values()) / len(per_class) if per_class else 0.0
+                want[comp] = {"mAP": m_ap, "per_class": per_class}
+        for comp in COMPONENTS:
+            got = report.components[comp]
+            assert got.per_class.keys() == want[comp]["per_class"].keys()
+            for key, value in want[comp]["per_class"].items():
+                assert got.per_class[key] == pytest.approx(value, abs=1e-12)
+            assert got.mAP == pytest.approx(want[comp]["mAP"], abs=1e-12)
 
 
 # subset scoring
