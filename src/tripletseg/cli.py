@@ -14,7 +14,9 @@ import logging
 import sys
 from pathlib import Path
 
-# each command imports the modules only it uses; stats and fusion load numpy
+# each command imports the modules only it uses; numpy loads with stats and
+# fusion, and in masks only with pair_intersections, _run_table,
+# foreground_intervals, rle_decode and rle_encode (eval --mode seg)
 from . import dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema

@@ -8,7 +8,9 @@ a trailing zero, so encodings are unique and comparable.
 
 IoU between two masks is computed exactly on the run intervals with
 integer arithmetic; masks are never materialised as pixel arrays for
-that purpose.
+that purpose. Boxes come from the counts in plain Python. Only
+``pair_intersections``, ``_run_table``, ``foreground_intervals``,
+``rle_decode``, ``rle_encode`` and the check of non-int counts load numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, mod
 from typing import TYPE_CHECKING, Any
 
 from .errors import MaskError
@@ -132,16 +135,15 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     return RleMask(height=h, width=w, counts=tuple(int(c) for c in counts))
 
 
-# Runs per chunk of masks or pairs, so memory stays flat. On seg-overlap,
-# peak RSS of `eval --mode seg|det` and `compare` stayed at or below that of
-# one call per pair at 2**14; `eval --mode det` rose by 2 MiB at 2**15 and
-# 4 MiB at 2**16, and `eval --mode seg` by 29 MiB with no chunks.
+# Runs per chunk of pairs in `pair_intersections`, so memory stays flat. On
+# seg-overlap, peak RSS of `eval --mode seg` and `compare` stayed at or below
+# one call per pair at 2**14; `eval --mode seg` rose 29 MiB with no chunks.
 CHUNK_RUNS = 1 << 14
 
 
 def _chunks(runs: Sequence[int], spans: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Consecutive ``[lo, hi)`` item ranges, closed once their runs reach
-    ``CHUNK_RUNS`` and before items × largest pixel span reaches 2**63."""
+    """Consecutive ``[lo, hi)`` pair ranges, closed once their runs reach
+    ``CHUNK_RUNS`` and before pairs × largest pixel span reaches 2**63."""
     lo = total = span = 0
     for i, n, size in zip(count(), runs, spans):
         span = size if size > span else span
@@ -242,23 +244,21 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
 
 
 def mask_boxes(masks: Sequence[RleMask]) -> list[BBox]:
-    """Tight bounding box of each mask's foreground, in bounded chunks. Empty
-    masks (one count) are an error. A run within one column spans rows
-    ``[start % H, (end - 1) % H]``; one crossing columns spans all rows."""
-    import numpy as np
+    """Tight bounding box of each mask's foreground; empty masks are an error.
+    Runs start at the running sums before foreground counts. A run whose start
+    row plus length exceeds H crosses a column, so the box spans all rows."""
     masks = list(masks)
     if any(len(m.counts) == 1 for m in masks):
         raise MaskError("cannot take bounding box of an empty mask")
     boxes: list[BBox] = []
-    runs = [len(m.counts) // 2 for m in masks]
-    for lo, hi in _chunks(runs, [m.height * m.width for m in masks]):
-        start, end, owner, first, n = _run_table(masks[lo:hi])
-        h = np.array([m.height for m in masks[lo:hi]], dtype=np.int64)[owner]
-        col0, col1, same = start // h, (end - 1) // h, start // h == (end - 1) // h
-        row0 = np.minimum.reduceat(np.where(same, start % h, 0), first).tolist()
-        row1 = np.maximum.reduceat(np.where(same, (end - 1) % h, h - 1), first).tolist()
-        boxes += [BBox(x=x0, y=y0, w=x1 - x0 + 1, h=y1 - y0 + 1) for x0, x1, y0, y1
-                  in zip(col0[first].tolist(), col1[first + n - 1].tolist(), row0, row1)]
+    for m in masks:
+        h, counts = m.height, m.counts
+        rows = list(map(mod, islice(accumulate(counts), 0, len(counts) - 1, 2), repeat(h)))
+        stop = max(map(add, rows, counts[1::2]))
+        y0, y1 = (0, h - 1) if stop > h else (min(rows), stop - 1)
+        end = h * m.width - (counts[-1] if len(counts) % 2 else 0)
+        x0, x1 = counts[0] // h, (end - 1) // h
+        boxes.append(BBox(x=x0, y=y0, w=x1 - x0 + 1, h=y1 - y0 + 1))
     return boxes
 
 

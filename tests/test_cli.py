@@ -569,11 +569,20 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
                for video in ("vid01", "vid02") for f in range(3)]
     (tmp_path / "rec.json").write_text(json.dumps(records))
     report = tmp_path / "report.json"
+    # detection boxes come from the counts in plain Python: one mask, one bbox
+    mask = json.loads((gt_dir / "vid01.json").read_text())["frames"][0]["instances"][0]["mask"]
+    (tmp_path / "det.json").write_text(json.dumps([
+        {"video_id": "vid01", "frame_id": 0, "triplet_id": 0, "score": 0.9, "mask": mask},
+        {"video_id": "vid02", "frame_id": 1, "triplet_id": 50, "score": 0.8, "bbox": [1, 1, 4, 4]},
+    ]))
+    det_report = tmp_path / "det_report.json"
     commands = [
         ["validate", "--gt", str(gt_dir)],
         ["stats", "--gt", str(gt_dir)],
         ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "rec.json"), "--mode", "rec",
          "--averaging", "per_video", "--out", str(report)],
+        ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "det.json"), "--mode", "det",
+         "--out", str(det_report)],
         ["align", "--labels", str(tmp_path / "labels.csv"), "--masks",
          str(tmp_path / "masks"), "--out", str(tmp_path / "aligned")],
     ]
@@ -593,6 +602,9 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(report.read_text())["components"]["IVT"]["mAP"] == 100.0
+    det_ivt = json.loads(det_report.read_text())["components"]["IVT"]
+    assert det_ivt["per_class"] == {"0": 50.0, "50": 50.0, "94": 0.0}
+    assert det_ivt["mAP"] == pytest.approx(100 / 3)
     for path in gt_dir.glob("*.json"):
         assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
 

@@ -300,6 +300,18 @@ def test_pair_kernels_match_bitmaps(rng, monkeypatch, chunk_runs):
 def test_mask_boxes_match_bitmaps(rng, monkeypatch, chunk_runs):
     monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
     items = [m for pair in _kernel_pairs(rng) for m in pair if m.area]
+    items += [
+        RleMask(height=1, width=6, counts=(2, 3, 1)),  # height 1
+        RleMask(height=1, width=6, counts=(0, 1, 4, 1)),
+        RleMask(height=4, width=3, counts=(5, 3, 4)),  # row 1 + 3 == H ends the column
+        RleMask(height=4, width=3, counts=(2, 2, 1, 3, 4)),
+        RleMask(height=4, width=3, counts=(4, 2, 6)),  # row 0 after a background column
+        RleMask(height=4, width=3, counts=(0, 4, 4, 2, 2)),  # ... after a full column
+        RleMask(height=4, width=3, counts=(6, 6)),  # foreground through the last pixel
+        RleMask(height=4, width=3, counts=(10, 2)),
+        RleMask(height=4, width=3, counts=(0, 3, 9)),  # leading foreground
+        RleMask(height=4, width=3, counts=(11, 1)),  # bottom-right pixel
+    ]
     big = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
     items[10:10] = [big, big]
     boxes = mask_boxes(items)
