@@ -45,13 +45,11 @@ class RleMask:
             raise MaskError("empty counts")
         if len(self.counts) > 1 and self.counts[-1] == 0:
             raise MaskError("trailing zero count")
-        # C builtins pass plain int counts; the loop checks the rest and names a bad index
-        if (set(map(type, self.counts)) <= {int} and self.counts[0] >= 0
+        # C builtins pass plain int counts; the loop checks the rest, names a bad
+        # index and stores plain ints, so sums over narrow numpy counts cannot wrap
+        if not (set(map(type, self.counts)) <= {int} and self.counts[0] >= 0
                 and (len(self.counts) == 1 or min(self.counts[1:]) > 0)):
-            total = sum(self.counts)
-        else:
             import numpy as np
-            total = 0
             for idx, c in enumerate(self.counts):
                 if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
                     raise MaskError(f"counts[{idx}] is not an integer")
@@ -59,7 +57,8 @@ class RleMask:
                     raise MaskError(f"counts[{idx}] is negative")
                 if c == 0 and idx != 0:
                     raise MaskError(f"zero count at index {idx}, only allowed first")
-                total += int(c)
+            object.__setattr__(self, "counts", tuple(map(int, self.counts)))
+        total = sum(self.counts)
         if total != self.height * self.width:
             raise MaskError(
                 f"counts sum {total} != {self.height}*{self.width} pixels"
@@ -68,7 +67,7 @@ class RleMask:
     @cached_property
     def area(self) -> int:
         """Number of foreground pixels."""
-        return int(sum(self.counts[1::2]))
+        return sum(self.counts[1::2])
 
     @classmethod
     def from_json_dict(cls, obj: Any) -> "RleMask":

@@ -311,12 +311,15 @@ def test_mask_boxes_match_bitmaps(rng, monkeypatch, chunk_runs):
         RleMask(height=4, width=3, counts=(10, 2)),
         RleMask(height=4, width=3, counts=(0, 3, 9)),  # leading foreground
         RleMask(height=4, width=3, counts=(11, 1)),  # bottom-right pixel
+        # np.int16 counts: the second run starts at 35100, past the int16 range
+        RleMask(height=200, width=200, counts=tuple(np.int16([20000, 100, 15000, 100, 4800]))),
     ]
     big = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
     items[10:10] = [big, big]
     boxes = mask_boxes(items)
     assert len(boxes) == len(items)
     for mask, box in zip(items, boxes):
+        assert {type(v) for v in (box.x, box.y, box.w, box.h)} == {int}
         if mask is big:
             assert box == BBox(x=0, y=0, w=BIG, h=BIG)
         else:
