@@ -22,7 +22,7 @@ from .dataset_io import (
 )
 from .errors import AlignmentError, DatasetError
 from .masks import RleMask
-from .schema import TripletSchema
+from .schema import TripletSchema, parse_int
 
 AMBIGUITY_KINDS = (
     "MultiInstanceOneTriplet",
@@ -98,8 +98,7 @@ def read_label_stream(path: str | Path) -> list[TripletLabelFrame]:
             raise DatasetError(f"{path}:{lineno}: expected 3 fields")
         video_id = row[0].strip()
         try:
-            frame_id = int(row[1])
-            triplet_id = int(row[2])
+            frame_id, triplet_id = parse_int(row[1]), parse_int(row[2])
         except ValueError:
             raise DatasetError(f"{path}:{lineno}: non-integer field") from None
         grouped.setdefault((video_id, frame_id), []).append(triplet_id)

@@ -14,9 +14,9 @@ import logging
 import sys
 from pathlib import Path
 
-# each command imports the modules only it uses; numpy loads with stats and
-# fusion, and in masks only with pair_intersections, _run_table,
-# foreground_intervals, rle_decode and rle_encode (eval --mode seg)
+# each command imports the modules only it uses; numpy loads with fusion, and
+# in masks only with pair_intersections, _run_table, foreground_intervals,
+# rle_decode and rle_encode (--mode seg)
 from . import dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
@@ -31,6 +31,14 @@ def _add_schema_flag(parser: argparse.ArgumentParser) -> None:
         "--schema", metavar="CSV", default=None,
         help="triplet vocabulary CSV (default: packaged 100-triplet vocabulary)",
     )
+
+
+def _add_scoring_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--iou-threshold", type=float, default=0.5, metavar="T")
+    parser.add_argument("--averaging", choices=("pooled", "per_video"), default="pooled")
+    parser.add_argument("--ap-method", choices=("envelope", "step"), default=None,
+                        help="default: envelope for seg/det, step for rec")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
 
 
 def _write_json(path: str | Path, payload) -> None:
@@ -255,21 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flag(p)
     p.set_defaults(func=_cmd_stats)
 
-    def add_eval_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", required=True, choices=("seg", "det", "rec"))
-        p.add_argument("--iou-threshold", type=float, default=0.5, metavar="T")
-        p.add_argument("--components", default=",".join(COMPONENTS),
-                       help="comma-separated subset of i,v,t,iv,it,ivt")
-        p.add_argument("--averaging", choices=("pooled", "per_video"),
-                       default="pooled")
-        p.add_argument("--ap-method", choices=("envelope", "step"), default=None,
-                       help="default: envelope for seg/det, step for rec")
-        p.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
-
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("--gt", required=True, metavar="DIR")
     p.add_argument("--preds", required=True, metavar="JSON")
-    add_eval_flags(p)
+    p.add_argument("--mode", required=True, choices=("seg", "det", "rec"))
+    p.add_argument("--components", default=",".join(COMPONENTS),
+                   help="comma-separated subset of i,v,t,iv,it,ivt")
+    _add_scoring_flags(p)
     p.add_argument("--out", metavar="JSON", help="write the report here")
     _add_schema_flag(p)
     p.set_defaults(func=_cmd_eval)
@@ -287,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-subsets", type=int, default=12, metavar="N")
     p.add_argument("--subset-size", type=int, default=500, metavar="N")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iou-threshold", type=float, default=0.5, metavar="T")
-    p.add_argument("--averaging", choices=("pooled", "per_video"), default="pooled")
-    p.add_argument("--ap-method", choices=("envelope", "step"), default=None)
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help=JOBS_HELP)
+    _add_scoring_flags(p)
     p.add_argument("--values-a", metavar="JSON",
                    help="precomputed per-subset metric values for method a")
     p.add_argument("--values-b", metavar="JSON",

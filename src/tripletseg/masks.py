@@ -8,9 +8,9 @@ a trailing zero, so encodings are unique and comparable.
 
 IoU between two masks is computed exactly on the run intervals with
 integer arithmetic; masks are never materialised as pixel arrays for
-that purpose. Boxes come from the counts in plain Python. Only
+that purpose. Counts are checked and boxes computed in plain Python. Only
 ``pair_intersections``, ``_run_table``, ``foreground_intervals``,
-``rle_decode``, ``rle_encode`` and the check of non-int counts load numpy.
+``rle_decode`` and ``rle_encode`` load numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
+from numbers import Integral
 from operator import add, mod
 from typing import TYPE_CHECKING, Any
 
@@ -45,13 +46,12 @@ class RleMask:
             raise MaskError("empty counts")
         if len(self.counts) > 1 and self.counts[-1] == 0:
             raise MaskError("trailing zero count")
-        # C builtins pass plain int counts; the loop checks the rest, names a bad
-        # index and stores plain ints, so sums over narrow numpy counts cannot wrap
+        # C builtins pass plain int counts; the loop checks the rest (numpy ints
+        # are Integral), names a bad index and stores them as ints that cannot wrap
         if not (set(map(type, self.counts)) <= {int} and self.counts[0] >= 0
                 and (len(self.counts) == 1 or min(self.counts[1:]) > 0)):
-            import numpy as np
             for idx, c in enumerate(self.counts):
-                if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
+                if not isinstance(c, Integral) or isinstance(c, bool):
                     raise MaskError(f"counts[{idx}] is not an integer")
                 if c < 0:
                     raise MaskError(f"counts[{idx}] is negative")

@@ -102,6 +102,14 @@ class TripletSchema:
         )
 
 
+def parse_int(text: str) -> int:
+    """``int(text)``, but only for an optional sign and ASCII digits amid whitespace."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(text)
+
+
 def _parse_header_overrides(lines: list[str]) -> dict[str, int]:
     """Comment lines of the form ``# key=value`` override class counts."""
     overrides: dict[str, int] = {}
@@ -114,7 +122,7 @@ def _parse_header_overrides(lines: list[str]) -> dict[str, int]:
         if key not in ("triplets", "instruments", "verbs", "targets"):
             raise SchemaError(f"unknown schema header key {key!r}")
         try:
-            overrides[key] = int(value.strip())
+            overrides[key] = parse_int(value)
         except ValueError:
             raise SchemaError(f"schema header {key}={value.strip()!r} is not an integer") from None
     return overrides
@@ -168,7 +176,7 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
         if len(row) != 7:
             raise SchemaError(f"{source}:{lineno}: expected 7 fields, got {len(row)}")
         try:
-            tid, i, v, t = (int(row[k]) for k in range(4))
+            tid, i, v, t = (parse_int(row[k]) for k in range(4))
         except ValueError:
             raise SchemaError(f"{source}:{lineno}: non-integer id field") from None
         i_name, v_name, t_name = (row[k].strip() for k in range(4, 7))

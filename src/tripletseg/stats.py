@@ -15,10 +15,10 @@ approximation with tie and continuity corrections beyond that.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Hashable, Sequence, TypeVar
-
-import numpy as np
 
 from .errors import StatsError
 
@@ -146,27 +146,24 @@ def partition_frames(
     return SubsetPartition(seed=seed, subset_size=subset_size, subsets=subsets)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving the mean of their ranks."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    lower = upper - counts + 1
-    return ((lower + upper) / 2.0)[inverse]
+def _doubled_ranks(values: list[float]) -> tuple[list[int], list[int]]:
+    """Twice the ranks 1..n, tied values sharing the mean of their ranks so
+    each stays an integer; and the size of each tie group, in value order."""
+    ties = {v: len(list(group)) for v, group in groupby(sorted(values))}
+    doubled, below = {}, 0
+    for v, t in ties.items():
+        doubled[v], below = (below + 1) + (below + t), below + t
+    return [doubled[v] for v in values], list(ties.values())
 
 
-def _exact_upper_tail(ranks2: np.ndarray, w2_observed: int) -> float:
-    """P(W >= observed) over the 2^n equally likely sign assignments.
-
-    Works on doubled ranks so every sum is an exact integer (average
-    ranks are multiples of one half). ``counts[w]`` is the exact number
-    of assignments whose positive ranks sum to ``w``; each rank r adds a
-    copy of the counts shifted up by r.
-    """
-    counts = np.zeros(int(ranks2.sum()) + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in ranks2.tolist():
-        counts[r:] += counts[:-r].copy()
-    return int(counts[w2_observed:].sum()) / (1 << len(ranks2))
+def _exact_upper_tail(ranks2: list[int], w2_observed: int) -> float:
+    """P(W >= observed) over the 2^n equally likely sign assignments, on
+    doubled ranks. ``counts[w]`` is the exact number of assignments whose
+    positive ranks sum to ``w``; each rank r adds a copy shifted up by r."""
+    counts = [1] + [0] * sum(ranks2)
+    for r in ranks2:
+        counts[r:] = [c + s for c, s in zip(counts[r:], counts)]
+    return sum(counts[w2_observed:]) / (1 << len(ranks2))
 
 
 def wilcoxon_one_sided(
@@ -185,31 +182,28 @@ def wilcoxon_one_sided(
         raise StatsError(f"paired samples differ in length: {len(x)} vs {len(y)}")
     if len(x) == 0:
         raise StatsError("empty samples")
-    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    if not np.isfinite(d).all():
+    d = [float(a) - float(b) for a, b in zip(x, y)]
+    if not all(map(math.isfinite, d)):
         raise StatsError("non-finite difference")
-    d = d[d != 0.0]
+    d = [v for v in d if v != 0.0]
     n = len(d)
     if n == 0:
         raise StatsError("all differences are zero; no test possible")
 
-    ranks = _average_ranks(np.abs(d))
-    w = float(ranks[d > 0].sum())
+    ranks2, ties = _doubled_ranks([abs(v) for v in d])
+    w2 = sum(r for r, v in zip(ranks2, d) if v > 0)
+    w = w2 / 2
 
     if method == "exact" and n > 20:
         raise StatsError(
             f"exact method is capped at n=20 nonzero differences, got {n}"
         )
-    use_exact = method == "exact" or (method == "auto" and n <= 20)
-    if use_exact:
-        ranks2 = np.round(ranks * 2.0).astype(np.int64)
-        w2 = int(ranks2[d > 0].sum())
+    if method == "exact" or (method == "auto" and n <= 20):
         p = _exact_upper_tail(ranks2, w2)
         return WilcoxonResult(statistic=w, n_effective=n, p_value=p, method="exact")
 
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    tie_term = float(((tie_counts.astype(np.float64) ** 3) - tie_counts).sum()) / 48.0
+    tie_term = sum(t**3 - t for t in ties) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     if var <= 0.0:
         raise StatsError("degenerate variance; too many ties for the approximation")
@@ -229,13 +223,13 @@ def compare_methods(
             f"per-subset series differ in length: {len(values_a)} vs {len(values_b)}"
         )
     wilcoxon = wilcoxon_one_sided(values_a, values_b)
-    a = np.asarray(values_a, dtype=np.float64)
-    b = np.asarray(values_b, dtype=np.float64)
+    a, b = [float(v) for v in values_a], [float(v) for v in values_b]
+    deltas = [u - v for u, v in zip(a, b)]
     return ComparisonResult(
-        per_subset=tuple(zip(map(float, a), map(float, b))),
-        deltas=tuple(float(v) for v in a - b),
-        median_a=float(np.median(a)),
-        median_b=float(np.median(b)),
-        median_delta=float(np.median(a - b)),
+        per_subset=tuple(zip(a, b)),
+        deltas=tuple(deltas),
+        median_a=statistics.median(a),
+        median_b=statistics.median(b),
+        median_delta=statistics.median(deltas),
         wilcoxon=wilcoxon,
     )

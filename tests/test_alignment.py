@@ -262,6 +262,26 @@ def test_label_stream_rejects_bad_rows(tmp_path):
         read_label_stream(path)
 
 
+@pytest.mark.parametrize("field", ["1_2", "\u0661\u0662", "\uff11\uff12", "\u00b2", "+-1", "", " "],
+                         ids=["underscore", "arabic-indic", "fullwidth", "superscript",
+                              "two-signs", "empty", "blank"])
+@pytest.mark.parametrize("column", [1, 2])
+def test_label_stream_rejects_non_plain_integers(tmp_path, field, column):
+    # int() would read 1_2 and the Arabic-Indic or fullwidth digits as 12
+    row = ["v", "0", "0"]
+    row[column] = field
+    path = tmp_path / "labels.csv"
+    path.write_text("video_id,frame_id,triplet_id\n" + ",".join(row) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"labels.csv:2: non-integer field$"):
+        read_label_stream(path)
+
+
+def test_label_stream_allows_sign_and_whitespace(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("video_id,frame_id,triplet_id\nv, +12 ,\t007\n", encoding="utf-8")
+    assert [(f.frame_id, f.triplets) for f in read_label_stream(path)] == [(12, (7,))]
+
+
 def test_mask_stream_rejects_assigned_triplets(tmp_path, schema):
     doc = {
         "video_id": "v",

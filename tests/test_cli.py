@@ -576,22 +576,43 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
         {"video_id": "vid02", "frame_id": 1, "triplet_id": 50, "score": 0.8, "bbox": [1, 1, 4, 4]},
     ]))
     det_report = tmp_path / "det_report.json"
+    # compare matches and scores both methods in plain Python too, and the
+    # Wilcoxon test needs no numpy
+    (tmp_path / "rec_b.json").write_text(json.dumps(
+        [{**r, "scores": r["scores"][-1:] + r["scores"][:-1]} for r in records]))
+    _write_perfect_preds(gt_dir, tmp_path / "perfect.json")
+    pipeline = ["--gt", str(gt_dir), "--n-subsets", "2", "--subset-size", "3", "--out"]
+    (tmp_path / "values_a.json").write_text("[91.3, 89.9, 90.9, 91.2]")
+    (tmp_path / "values_b.json").write_text("[90.0, 90.0, 90.0, 90.0]")
+    # a count that is no integer takes the slow check, which names it
+    bad_gt = tmp_path / "bad_gt"
+    bad_gt.mkdir()
+    doc = json.loads((gt_dir / "vid01.json").read_text())
+    doc["frames"][0]["instances"][0]["mask"]["counts"][1] = "4"
+    (bad_gt / "vid01.json").write_text(json.dumps(doc))
     commands = [
-        ["validate", "--gt", str(gt_dir)],
-        ["stats", "--gt", str(gt_dir)],
-        ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "rec.json"), "--mode", "rec",
-         "--averaging", "per_video", "--out", str(report)],
-        ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "det.json"), "--mode", "det",
-         "--out", str(det_report)],
-        ["align", "--labels", str(tmp_path / "labels.csv"), "--masks",
-         str(tmp_path / "masks"), "--out", str(tmp_path / "aligned")],
+        (0, ["validate", "--gt", str(gt_dir)]),
+        (0, ["stats", "--gt", str(gt_dir)]),
+        (0, ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "rec.json"),
+             "--mode", "rec", "--averaging", "per_video", "--out", str(report)]),
+        (0, ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "det.json"),
+             "--mode", "det", "--out", str(det_report)]),
+        (0, ["compare", "--mode", "det", "--preds-a", str(tmp_path / "perfect.json"),
+             "--preds-b", str(tmp_path / "det.json"), *pipeline, str(tmp_path / "cmp_det.json")]),
+        (0, ["compare", "--mode", "rec", "--preds-a", str(tmp_path / "rec.json"),
+             "--preds-b", str(tmp_path / "rec_b.json"), *pipeline, str(tmp_path / "cmp_rec.json")]),
+        (0, ["compare", "--values-a", str(tmp_path / "values_a.json"),
+             "--values-b", str(tmp_path / "values_b.json"), "--out", str(tmp_path / "cmp.json")]),
+        (1, ["validate", "--gt", str(bad_gt)]),
+        (0, ["align", "--labels", str(tmp_path / "labels.csv"), "--masks",
+             str(tmp_path / "masks"), "--out", str(tmp_path / "aligned")]),
     ]
     child = (
         "import json, sys\n"
         "from tripletseg.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    if main(argv) != 0:\n"
-        "        sys.exit(f'{argv[0]} failed')\n"
+        "for code, argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != code:\n"
+        "        sys.exit(f'{argv[0]} did not exit {code}')\n"
         "    for name in ('numpy', 'tripletseg.alignment')[:1 if argv[0] == 'align' else 2]:\n"
         "        if name in sys.modules:\n"
         "            sys.exit(f'{argv[0]} loaded {name}')\n"
@@ -601,10 +622,17 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
         capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
+    assert "counts[1] is not an integer" in result.stderr
     assert json.loads(report.read_text())["components"]["IVT"]["mAP"] == 100.0
     det_ivt = json.loads(det_report.read_text())["components"]["IVT"]
     assert det_ivt["per_class"] == {"0": 50.0, "50": 50.0, "94": 0.0}
     assert det_ivt["mAP"] == pytest.approx(100 / 3)
+    for name in ("cmp_det.json", "cmp_rec.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert all(row["a"] == 100.0 > row["b"] for row in doc["per_subset"])
+        assert doc["wilcoxon"] == {"W": 3.0, "n_effective": 2, "p_value": 0.25,
+                                   "method": "exact"}
+    assert json.loads((tmp_path / "cmp.json").read_text())["wilcoxon"]["p_value"] == 2 / 16
     for path in gt_dir.glob("*.json"):
         assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
 

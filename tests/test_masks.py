@@ -70,6 +70,8 @@ def test_canonical_form_examples():
     # numpy integers are accepted like ints
     m = RleMask(height=2, width=2, counts=(np.int64(1), np.int64(3)))
     assert m.area == 3
+    m = RleMask(height=2, width=2, counts=(np.uint8(0), np.int32(1), np.intp(3)))
+    assert m.counts == (0, 1, 3) and all(type(c) is int for c in m.counts)
 
 
 @pytest.mark.parametrize(
@@ -87,6 +89,9 @@ def test_canonical_form_examples():
         ((1, 1, -1, 3), r"^counts\[2\] is negative$"),
         ((1, 1, 0, 2), r"^zero count at index 2, only allowed first$"),
         ((1, 1, 1), r"^counts sum 3 != 2\*2 pixels$"),
+        # numpy's bool and float scalars are not Integral, its integers are
+        ((np.bool_(True), 3), r"^counts\[0\] is not an integer$"),
+        ((np.uint8(2), np.float64(2.0)), r"^counts\[1\] is not an integer$"),
     ],
 )
 def test_invalid_counts_rejected(counts, message):

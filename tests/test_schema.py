@@ -111,6 +111,12 @@ def test_custom_schema_without_overrides(tmp_path):
         ("0,0,0,0,a,b,\n", "empty target name"),
         ("0,-1,0,0,a,b,c\n", "negative id"),
         ("0,0,0,x,a,b,c\n", "non-integer"),
+        # int() reads these as 10 and 12
+        pytest.param("1_0,0,0,0,a,b,c\n", r"bad\.csv:2: non-integer id field", id="underscore"),
+        pytest.param("0,\u0661\u0662,0,0,a,b,c\n", r"bad\.csv:2: non-integer id field",
+                     id="arabic-indic-digits"),
+        pytest.param("0,0,0,\uff11,a,b,c\n", r"bad\.csv:2: non-integer id field",
+                     id="fullwidth-digit"),
         pytest.param("0,0,0,0," + "a" * 200_000 + ",b,c\n", "field larger than field limit",
                      id="oversized-field"),
         # one past the cap, so that without the cap the tables stay small
@@ -129,6 +135,35 @@ def test_schema_rejects_bad_rows(tmp_path, rows, message):
     )
     with pytest.raises(SchemaError, match=message):
         load_schema(path)
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660", "x"],
+                         ids=["underscore", "arabic-indic", "letter"])
+def test_schema_rejects_non_plain_integer_header(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"# triplets={value}\n"
+        "triplet_id,instrument_id,verb_id,target_id,"
+        "instrument_name,verb_name,target_name\n"
+        "0,0,0,0,a,b,c\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match=f"schema header triplets='{value}' is not an integer"):
+        load_schema(path)
+
+
+def test_schema_ids_allow_sign_and_whitespace(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text(
+        "# triplets= 2 \n"
+        "triplet_id,instrument_id,verb_id,target_id,"
+        "instrument_name,verb_name,target_name\n"
+        " +1, 0,0 ,0,a,b,c\n",
+        encoding="utf-8",
+    )
+    schema = load_schema(path)
+    assert schema.n_triplets == 2
+    assert schema.triplets == {1: (0, 0, 0)}
 
 
 def test_schema_rejects_bad_header(tmp_path):

@@ -201,6 +201,40 @@ def test_wilcoxon_handles_ties_in_ranks():
     assert result.p_value == pytest.approx(p, abs=1e-12)
 
 
+# tie-heavy inputs; "squares" has 3 unequal tie groups and no zero
+# difference, "steps" 4 groups plus zeros that are dropped. W, n_effective,
+# the p-value's bits and the method were recorded from the numpy
+# implementation; its normal approximation agrees with
+# scipy.stats.wilcoxon(..., alternative="greater", method="approx") to 1e-14
+TIE_HEAVY_PINS = [
+    ("squares", 21, "auto", 150.0, 21, "0x1.cdf2f35fe2b3ep-4", "normal_approx"),
+    ("squares", 21, "normal_approx", 150.0, 21, "0x1.cdf2f35fe2b3ep-4", "normal_approx"),
+    ("squares", 30, "auto", 284.0, 30, "0x1.20ef51ae028f6p-3", "normal_approx"),
+    ("squares", 30, "normal_approx", 284.0, 30, "0x1.20ef51ae028f6p-3", "normal_approx"),
+    ("squares", 60, "auto", 1181.5, 60, "0x1.6c2d3beb0737ap-6", "normal_approx"),
+    ("squares", 60, "normal_approx", 1181.5, 60, "0x1.6c2d3beb0737ap-6", "normal_approx"),
+    ("steps", 21, "auto", 82.0, 19, "0x1.67f2000000000p-1", "exact"),
+    ("steps", 21, "normal_approx", 82.0, 19, "0x1.6a6d5b09e84f8p-1", "normal_approx"),
+    ("steps", 30, "auto", 170.5, 27, "0x1.5ab8a11426e8cp-1", "normal_approx"),
+    ("steps", 30, "normal_approx", 170.5, 27, "0x1.5ab8a11426e8cp-1", "normal_approx"),
+    ("steps", 60, "auto", 722.0, 54, "0x1.2502f4dff52a5p-1", "normal_approx"),
+    ("steps", 60, "normal_approx", 722.0, 54, "0x1.2502f4dff52a5p-1", "normal_approx"),
+]
+
+
+@pytest.mark.parametrize("name,n,method,w,n_eff,p_hex,used", TIE_HEAVY_PINS)
+def test_wilcoxon_tie_heavy_bits_pinned(name, n, method, w, n_eff, p_hex, used):
+    if name == "squares":
+        x, y = [(k * k) % 7 for k in range(n)], [1.5] * n
+    else:
+        x, y = [((k * 5) % 9 - 4) / 2 for k in range(n)], [0.0] * n
+    result = wilcoxon_one_sided(x, y, method=method)
+    assert result.statistic == w
+    assert result.n_effective == n_eff
+    assert result.p_value.hex() == p_hex
+    assert result.method == used
+
+
 def test_wilcoxon_json_dict():
     result = wilcoxon_one_sided([2.0, 3.0, 4.0], [1.0, 1.0, 1.0])
     doc = result.to_json_dict()
@@ -224,6 +258,18 @@ def test_compare_methods_hand_case():
     assert result.wilcoxon.p_value == pytest.approx(2 / 16)
     text = result.render_text()
     assert "W=9" in text and "p=" in text
+
+
+@pytest.mark.parametrize("a,b,medians", [
+    ([91.3, 89.9, 90.9, 91.2, 90.4], [90.0, 90.5, 89.7, 90.2, 90.0], (90.9, 90.0, 1.0)),
+    ([0.1, 0.7, 0.2, 0.4], [0.3, 0.1, 0.1, 0.2],
+     (0.30000000000000004, 0.15000000000000002, 0.15000000000000002)),
+])
+def test_compare_methods_medians_odd_and_even(a, b, medians):
+    # odd n takes the middle value, even n the mean of the middle two
+    result = compare_methods(a, b)
+    assert (result.median_a, result.median_b, result.median_delta) == medians
+    assert medians == (np.median(a), np.median(b), np.median(np.subtract(a, b)))
 
 
 def test_compare_methods_length_mismatch():
