@@ -11,7 +11,9 @@ score vectors.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -19,6 +21,10 @@ from typing import Any
 from .errors import DatasetError
 from .masks import BBox, MaskError, RleMask
 from .schema import TripletSchema
+
+_DECODER = json.JSONDecoder()
+# an array's punctuation with the whitespace JSON allows around it
+_OPEN, _COMMA, _CLOSE = (re.compile(rf"[ \t\n\r]*{p}[ \t\n\r]*") for p in (r"\[", ",", r"\]"))
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,47 @@ def read_text(path: str | Path) -> str:
         raise DatasetError(f"{path}: not UTF-8: {exc}") from exc
 
 
+def _loads(path: str | Path, text: str) -> Any:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_json(path: str | Path) -> Any:
     """A UTF-8 JSON file's document; DatasetError names a file that is not
     JSON or nests too deeply to parse. I/O errors stay OSError."""
-    try:
-        return json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+    return _loads(path, read_text(path))
+
+
+def _array_items(path: str | Path, text: str) -> Iterator[Any]:
+    """The elements of a JSON array document, decoded one at a time, so the
+    whole list never exists at once. Anything else (a syntax error, or a top
+    level that is not an array) goes to the full parse, so it reports exactly
+    what ``load_json`` reports. An element is yielded only once the comma or
+    closing bracket after it is seen: text that a syntax error garbled into a
+    value never reaches the record checks."""
+    done = 0
+    step = _OPEN.match(text)
+    if step and _CLOSE.fullmatch(text, step.end()):
+        return
+    while step:
+        try:
+            obj, end = _DECODER.raw_decode(text, step.end())
+        except (ValueError, RecursionError):
+            break
+        step = _COMMA.match(text, end)
+        last = step is None
+        if last and not _CLOSE.fullmatch(text, end):
+            break
+        yield obj
+        done += 1
+        if last:
+            return
+    doc = _loads(path, text)
+    if not isinstance(doc, list):
+        raise DatasetError(f"{path}: top level must be an array of records")
+    yield from doc[done:]
 
 
 def video_files(directory: str | Path) -> list[Path]:
@@ -196,7 +236,7 @@ def _parse_instance(
             f"{locus}.mask: size {mask.height}x{mask.width} does not match "
             f"frame {height}x{width}"
         )
-    if mask.area == 0:
+    if len(mask.counts) == 1:  # the one canonical empty mask
         raise DatasetError(f"{locus}.mask: empty mask")
     return GroundedInstance(
         instance_id=instance_id,
@@ -430,14 +470,13 @@ def read_predictions(
     """Load a prediction file for the given evaluation mode."""
     if mode not in ("seg", "det", "rec"):
         raise DatasetError(f"unknown mode {mode!r}")
-    doc = load_json(path)
-    if not isinstance(doc, list):
-        raise DatasetError(f"{path}: top level must be an array of records")
-
+    # records are decoded and checked one at a time, so with several faults
+    # the first one in file order is reported
+    items = enumerate(_array_items(path, read_text(path)))
     if mode == "rec":
         records_r: list[RecognitionRecord] = []
         seen: set[tuple[str, int]] = set()
-        for idx, obj in enumerate(doc):
+        for idx, obj in items:
             rec = _parse_recognition(obj, f"{path}[{idx}]", schema.n_triplets)
             key = (rec.video_id, rec.frame_id)
             if key in seen:
@@ -447,11 +486,7 @@ def read_predictions(
             seen.add(key)
             records_r.append(rec)
         return records_r
-
-    records_d: list[DetectionRecord] = []
-    for idx, obj in enumerate(doc):
-        records_d.append(_parse_detection(obj, f"{path}[{idx}]", schema))
-    return records_d
+    return [_parse_detection(obj, f"{path}[{idx}]", schema) for idx, obj in items]
 
 
 def read_values(path: str | Path) -> list[float]:

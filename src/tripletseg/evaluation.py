@@ -370,6 +370,10 @@ def _match_grounded(
                       list(map(len, dets)), len(preds), rows)
 
 
+# the finer component each coarse one takes its recognition class maxima from
+_FINER = {"iv": "ivt", "it": "ivt", "i": "iv", "v": "iv", "t": "it"}
+
+
 def _match_recognition(
     gt_frames: Sequence[FrameRecord], preds: Sequence[RecognitionRecord],
     config: EvalConfig, schema: TripletSchema,
@@ -409,23 +413,34 @@ def _match_recognition(
             "(e.g. %s); ignored", len(unknown), sorted(unknown)[:5],
         )
 
-    # one score column per triplet id, over the frames
+    # one score column per triplet id, over the frames; ivt's classes are the
+    # table's triplets, and a coarser class's column is the maximum over the
+    # columns of the finer classes it holds, so each is computed only once
     columns = list(zip(*score_rows)) or [()] * schema.n_triplets
     tids = sorted(schema.triplets)
+    needed = {*config.components, *(_FINER[c] for c in config.components if c in ("i", "v", "t"))}
+    class_columns: dict[str, list[Sequence[float]]] = {"ivt": [columns[t] for t in tids]}
+    for comp in ("iv", "it", "i", "v", "t"):
+        if comp not in needed:
+            continue
+        finer = _FINER[comp]
+        coarse_of = dict(zip(_class_indices(schema, tids, finer),
+                             _class_indices(schema, tids, comp)))
+        members: list[list[Sequence[float]]] = [[] for _ in schema.class_keys[comp]]
+        for k, col in enumerate(class_columns[finer]):
+            members[coarse_of[k]].append(col)
+        class_columns[comp] = [cols[0] if len(cols) == 1 else list(map(max, *cols))
+                               for cols in members]
     label_tids = [t for r in gt_frames for t in r.frame_triplets]
     label_frame = [f for f, r in enumerate(gt_frames) for _ in r.frame_triplets]
     frames = range(n_frames)
     rows = {}
     for comp in config.components:
-        members: list[list[tuple[float, ...]]] = [[] for _ in schema.class_keys[comp]]
-        for t, k in zip(tids, _class_indices(schema, tids, comp)):
-            members[k].append(columns[t])
-        labels = [[False] * n_frames for _ in members]
+        labels = [[False] * n_frames for _ in schema.class_keys[comp]]
         for k, f in zip(_class_indices(schema, label_tids, comp), label_frame):
             labels[k][f] = True
         rows[comp] = ClassRows(
-            [frames] * len(members),
-            [cols[0] if len(cols) == 1 else list(map(max, *cols)) for cols in members],
+            [frames] * len(labels), class_columns[comp],
             labels, [list(compress(frames, flags)) for flags in labels],
         )
     return MatchTable(config, schema.class_keys, keys, [True] * n_frames, frame_preds,

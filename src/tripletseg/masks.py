@@ -11,14 +11,20 @@ integer arithmetic; masks are never materialised as pixel arrays for
 that purpose. Counts are checked and boxes computed in plain Python. Only
 ``pair_intersections``, ``_run_table``, ``foreground_intervals``,
 ``rle_decode`` and ``rle_encode`` load numpy.
+
+A validated mask stores its counts packed as one ``array('q')``, 8 bytes
+per count. Every reader sees plain Python ints; numpy reads the buffer
+directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import struct
+from array import array
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, count, islice, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, count, islice, repeat
 from numbers import Integral
 from operator import add, mod
 from typing import TYPE_CHECKING, Any
@@ -29,40 +35,67 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+@lru_cache(maxsize=1024)
+def _packer(n: int) -> Callable[..., bytes]:
+    """Packs n non-negative ints below 2**64 into native unsigned 64-bit words.
+    Kept per count length: building the format per mask costs small masks more
+    than their checks."""
+    return struct.Struct(f"{n}Q").pack
+
+
 @dataclass(frozen=True)
 class RleMask:
-    """Validated run-length mask over an ``height x width`` grid."""
+    """Validated run-length mask over an ``height x width`` grid. ``counts``
+    may be any sequence of integers; it is stored as an ``array('q')``."""
 
     height: int
     width: int
-    counts: tuple[int, ...]
+    counts: Sequence[int]
 
     def __post_init__(self) -> None:
+        counts = self.counts
         if self.height < 1 or self.width < 1:
             raise MaskError(f"mask size {self.height}x{self.width} must be positive")
         if self.height * self.width >= 2**63:
             raise MaskError(f"mask size {self.height}x{self.width} overflows int64")
-        if not self.counts:
+        if not counts:
             raise MaskError("empty counts")
-        if len(self.counts) > 1 and self.counts[-1] == 0:
+        if len(counts) > 1 and counts[-1] == 0:
             raise MaskError("trailing zero count")
-        # C builtins pass plain int counts; the loop checks the rest (numpy ints
-        # are Integral), names a bad index and stores them as ints that cannot wrap
-        if not (set(map(type, self.counts)) <= {int} and self.counts[0] >= 0
-                and (len(self.counts) == 1 or min(self.counts[1:]) > 0)):
-            for idx, c in enumerate(self.counts):
+        # C builtins pass plain int counts with no zero after the first, and
+        # packing them unsigned rejects a negative one; the loop checks the rest
+        # (numpy ints are Integral) and names a bad index
+        packed = None
+        if set(map(type, counts)) <= {int} and 0 not in counts[1:]:
+            try:
+                packed = _packer(len(counts))(*counts)
+            except struct.error:
+                pass
+        if packed is None:
+            for idx, c in enumerate(counts):
                 if not isinstance(c, Integral) or isinstance(c, bool):
                     raise MaskError(f"counts[{idx}] is not an integer")
                 if c < 0:
                     raise MaskError(f"counts[{idx}] is negative")
                 if c == 0 and idx != 0:
                     raise MaskError(f"zero count at index {idx}, only allowed first")
-            object.__setattr__(self, "counts", tuple(map(int, self.counts)))
-        total = sum(self.counts)
+            counts = list(map(int, counts))
+        total = sum(counts)
         if total != self.height * self.width:
             raise MaskError(
                 f"counts sum {total} != {self.height}*{self.width} pixels"
             )
+        # the sum bounds every count below 2**63, so unsigned bytes are int64
+        # bytes; an array built from bytes keeps 1/16 spare, its slice does not
+        packed = packed or _packer(len(counts))(*counts)
+        object.__setattr__(self, "counts", array("q", packed)[:])
+
+    def __hash__(self) -> int:
+        return hash((self.height, self.width, self.counts.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"RleMask(height={self.height!r}, width={self.width!r}, "
+                f"counts={tuple(self.counts)!r})")
 
     @cached_property
     def area(self) -> int:
@@ -86,10 +119,10 @@ class RleMask:
             raise MaskError("mask 'size' must be [height, width] integers")
         if not isinstance(counts, (list, tuple)):
             raise MaskError("mask 'counts' must be a list of integers")
-        return cls(height=size[0], width=size[1], counts=tuple(counts))
+        return cls(height=size[0], width=size[1], counts=counts)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"size": [self.height, self.width], "counts": list(self.counts)}
+        return {"size": [self.height, self.width], "counts": self.counts.tolist()}
 
 
 @dataclass(frozen=True)
@@ -111,7 +144,7 @@ class BBox:
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Expand to a dense ``(height, width)`` bool array."""
     import numpy as np
-    counts = np.asarray(mask.counts, dtype=np.int64)
+    counts = np.frombuffer(mask.counts, dtype=np.int64)
     values = np.zeros(len(counts), dtype=bool)
     values[1::2] = True
     flat = np.repeat(values, counts)
@@ -131,7 +164,7 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     counts = np.diff(boundaries).tolist()
     if flat[0]:
         counts.insert(0, 0)
-    return RleMask(height=h, width=w, counts=tuple(int(c) for c in counts))
+    return RleMask(height=h, width=w, counts=counts)
 
 
 # Runs per chunk of pairs in `pair_intersections`, so memory stays flat. On
@@ -162,7 +195,8 @@ def _run_table(masks: Sequence[RleMask]) -> tuple[np.ndarray, ...]:
     per run, in mask then position order; ``first`` run and run count ``n`` per mask."""
     import numpy as np
     lengths = np.array([len(m.counts) for m in masks], dtype=np.int64)
-    counts = np.fromiter(chain.from_iterable(m.counts for m in masks), np.int64, lengths.sum())
+    # one writable copy of the packed counts, since first counts change below
+    counts = np.frombuffer(bytearray().join(m.counts for m in masks), dtype=np.int64)
     heads = np.cumsum(lengths) - lengths
     # taking the previous mask's pixels off a first count restarts the sum
     counts[heads[1:]] -= np.array([m.height * m.width for m in masks[:-1]], dtype=np.int64)

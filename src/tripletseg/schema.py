@@ -110,21 +110,24 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def _parse_header_overrides(lines: list[str]) -> dict[str, int]:
-    """Comment lines of the form ``# key=value`` override class counts."""
+def _parse_header_overrides(lines: list[str], source: str) -> dict[str, int]:
+    """Comment lines of the form ``# key=value`` override class counts.
+    ``lines`` are the file's first lines; errors name ``source`` and the line."""
     overrides: dict[str, int] = {}
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         body = line.lstrip("#").strip()
         if not body or "=" not in body:
             continue
         key, _, value = body.partition("=")
         key = key.strip()
         if key not in ("triplets", "instruments", "verbs", "targets"):
-            raise SchemaError(f"unknown schema header key {key!r}")
+            raise SchemaError(f"{source}:{lineno}: unknown schema header key {key!r}")
         try:
             overrides[key] = parse_int(value)
         except ValueError:
-            raise SchemaError(f"schema header {key}={value.strip()!r} is not an integer") from None
+            raise SchemaError(
+                f"{source}:{lineno}: schema header {key}={value.strip()!r} is not an integer"
+            ) from None
     return overrides
 
 
@@ -151,7 +154,7 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
     comment_lines = []
     while lines and lines[0].startswith("#"):
         comment_lines.append(lines.pop(0))
-    overrides = _parse_header_overrides(comment_lines)
+    overrides = _parse_header_overrides(comment_lines, source)
 
     try:
         rows = list(csv.reader(lines))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from tripletseg.dataset_io import (
     DetectionRecord,
     FrameRecord,
     GroundedInstance,
+    _parse_detection,
     _parse_recognition,
     dataset_stats,
+    load_json,
     parse_video_file,
     read_ground_truth,
     read_predictions,
@@ -19,6 +22,7 @@ from tripletseg.dataset_io import (
 )
 from tripletseg.errors import DatasetError
 from tripletseg.masks import RleMask
+from tripletseg.schema import TripletSchema
 
 
 def _video_doc(schema):
@@ -371,3 +375,102 @@ def test_detection_record_validation_via_file(tmp_path, schema):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DatasetError, match="unknown triplet"):
         read_predictions(path, "det", schema)
+
+
+# prediction files are read record by record
+
+
+def _reference_read(path, mode, schema):
+    """The reader's contract, built from parts: the whole document first,
+    then each record in file order."""
+    doc = load_json(path)
+    if not isinstance(doc, list):
+        raise DatasetError(f"{path}: top level must be an array of records")
+    if mode != "rec":
+        return [_parse_detection(obj, f"{path}[{idx}]", schema) for idx, obj in enumerate(doc)]
+    records, seen = [], set()
+    for idx, obj in enumerate(doc):
+        rec = _parse_recognition(obj, f"{path}[{idx}]", schema.n_triplets)
+        key = (rec.video_id, rec.frame_id)
+        if key in seen:
+            raise DatasetError(f"{path}[{idx}]: duplicate record for frame {key}")
+        seen.add(key)
+        records.append(rec)
+    return records
+
+
+def _outcome(read, path, mode, schema):
+    try:
+        return read(path, mode, schema)
+    except DatasetError as exc:
+        return str(exc)
+
+
+SMALL_REC_SCHEMA = TripletSchema(
+    n_triplets=3, n_instruments=1, n_verbs=2, n_targets=2,
+    triplets={0: (0, 0, 0), 1: (0, 1, 0), 2: (0, 1, 1)},
+    instrument_names={0: "a"}, verb_names={0: "b", 1: "c"}, target_names={0: "d", 1: "e"},
+)
+
+
+@pytest.mark.parametrize("mode", ["seg", "rec"])
+def test_read_predictions_every_cut_and_deletion_reports_as_before(tmp_path, schema, mode):
+    if mode == "seg":
+        mask = rect_rle(8, 6, 1, 1, 2, 2).to_json_dict()
+        doc = [
+            {"video_id": "v", "frame_id": 0, "triplet_id": 3, "score": 0.5, "mask": mask},
+            {"video_id": "v", "frame_id": 1, "triplet_id": 5, "score": 1,
+             "mask": None, "bbox": [0, 0, 2, 2]},
+        ]
+    else:
+        schema = SMALL_REC_SCHEMA
+        doc = [{"video_id": "v", "frame_id": f, "scores": [0.5, 0, 1]} for f in range(2)]
+    # two layouts, so the whitespace JSON allows around punctuation is covered
+    texts = [json.dumps(doc), " " + json.dumps(doc, indent=1) + "\n"]
+    path = tmp_path / "preds.json"
+    variants = {t[:i] for t in texts for i in range(len(t))}
+    variants |= {t[:i] + t[i + 1:] for t in texts for i in range(len(t))}
+    faults = 0
+    for text in sorted(variants):
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(_reference_read, path, mode, schema)
+        assert _outcome(read_predictions, path, mode, schema) == want, text
+        faults += isinstance(want, str)
+    assert faults > len(variants) // 2
+
+
+def test_read_predictions_faults_reported_in_file_order(tmp_path, schema):
+    # record 0 is bad and the array is never closed: the first fault wins
+    path = tmp_path / "preds.json"
+    path.write_text('[{"video_id": 7}, {"video_id": "v"', encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        read_predictions(path, "det", schema)
+    assert str(info.value) == f"{path}[0].video_id: expected a string, got int"
+
+
+def test_read_predictions_peaks_below_decoded_document(tmp_path, schema):
+    # counts above 256 are int objects of their own once decoded
+    rng = np.random.default_rng(5)
+    doc = []
+    for f in range(300):
+        counts = rng.integers(300, 900, size=200).tolist()
+        counts.append(480 * 854 - sum(counts))
+        doc.append({"video_id": "v", "frame_id": f, "triplet_id": 3, "score": 0.5,
+                    "mask": {"size": [480, 854], "counts": counts}})
+    text = json.dumps(doc)
+    path = tmp_path / "preds.json"
+    path.write_text(text, encoding="utf-8")
+    del doc
+    tracemalloc.start()
+    try:
+        decoded = json.loads(text)
+        decoded_size = tracemalloc.get_traced_memory()[0]
+        del decoded
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        records = read_predictions(path, "seg", schema)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 300
+    assert peak < decoded_size

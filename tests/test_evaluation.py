@@ -638,6 +638,26 @@ def test_recognition_matches_oracle_with_ties(problem):
             assert got.mAP == pytest.approx(want[comp]["mAP"], abs=1e-12)
 
 
+@given(problem=recognition_problems(),
+       components=st.sampled_from([COMPONENTS, ("t",), ("v", "i"), ("it",)]))
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+def test_recognition_class_columns_are_member_maxima(problem, components):
+    # coarse columns come from finer ones; each must equal the direct maximum
+    # over the scores of the triplets that project to the class
+    frames, records = problem
+    by_key = {(r.video_id, r.frame_id): r.scores for r in records}
+    rows = [by_key.get((r.video_id, r.frame_id), (0.0,) * 8) for r in frames]
+    table = match(frames, records, EvalConfig(mode="rec", components=components),
+                  SMALL_SCHEMA)
+    assert set(table.rows) == set(components)
+    for comp in components:
+        keys = SMALL_SCHEMA.class_keys[comp]
+        assert len(table.rows[comp].score) == len(keys)
+        for key, column in zip(keys, table.rows[comp].score):
+            members = [t for t in sorted(SMALL_TRIPLETS) if SMALL_SCHEMA.project(t, comp) == key]
+            assert list(column) == [max(row[t] for t in members) for row in rows]
+
+
 # subset scoring
 
 

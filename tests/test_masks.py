@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,7 +74,47 @@ def test_canonical_form_examples():
     m = RleMask(height=2, width=2, counts=(np.int64(1), np.int64(3)))
     assert m.area == 3
     m = RleMask(height=2, width=2, counts=(np.uint8(0), np.int32(1), np.intp(3)))
-    assert m.counts == (0, 1, 3) and all(type(c) is int for c in m.counts)
+    assert list(m.counts) == [0, 1, 3] and all(type(c) is int for c in m.counts)
+
+
+def test_mask_value_contract():
+    # counts from a tuple, a list, numpy ints, a JSON dict or another mask
+    # make equal masks that hash equal
+    ref = RleMask(height=2, width=3, counts=(1, 2, 3))
+    same = [
+        RleMask(height=2, width=3, counts=[1, 2, 3]),
+        RleMask(height=2, width=3, counts=(np.int64(1), np.int32(2), np.uint8(3))),
+        RleMask.from_json_dict({"size": [2, 3], "counts": [1, 2, 3]}),
+        RleMask(height=2, width=3, counts=ref.counts),
+    ]
+    for m in same:
+        assert m == ref and hash(m) == hash(ref)
+    assert len({ref, *same}) == 1
+    assert ref != RleMask(height=2, width=3, counts=(1, 3, 2))
+    assert ref != RleMask(height=3, width=2, counts=(1, 2, 3))
+    assert ref != (2, 3, (1, 2, 3))
+    # repr reads as a tuple of counts, as it did when counts were a tuple
+    assert repr(ref) == "RleMask(height=2, width=3, counts=(1, 2, 3))"
+    assert repr(RleMask(height=2, width=2, counts=[4])) == "RleMask(height=2, width=2, counts=(4,))"
+    doc = ref.to_json_dict()
+    assert doc == {"size": [2, 3], "counts": [1, 2, 3]}
+    assert all(type(c) is int for c in doc["counts"])
+
+
+def test_counts_stored_at_eight_bytes_each():
+    counts = [300, 20] * 500 + [480 * 854 - 320 * 500]
+    for given in (counts, tuple(counts), [np.int64(c) for c in counts]):
+        m = RleMask(height=480, width=854, counts=given)
+        assert m.counts.itemsize == 8
+        assert sys.getsizeof(m.counts) == sys.getsizeof(array("q")) + 8 * len(counts)
+        assert m.counts.tolist() == counts
+
+
+def test_full_2_62_pixel_mask_packs():
+    big = RleMask(height=2**31, width=2**31, counts=(0, 2**62))
+    assert list(big.counts) == [0, 2**62] and big.area == 2**62
+    assert RleMask.from_json_dict(big.to_json_dict()) == big
+    assert big.to_json_dict()["counts"] == [0, 2**62]
 
 
 @pytest.mark.parametrize(
@@ -92,6 +135,10 @@ def test_canonical_form_examples():
         # numpy's bool and float scalars are not Integral, its integers are
         ((np.bool_(True), 3), r"^counts\[0\] is not an integer$"),
         ((np.uint8(2), np.float64(2.0)), r"^counts\[1\] is not an integer$"),
+        # past int64 and past 64 bits: each count is fine alone, the sum is not
+        ((2**63, 3), r"^counts sum 9223372036854775811 != 2\*2 pixels$"),
+        ((1, 2**64), r"^counts sum 18446744073709551617 != 2\*2 pixels$"),
+        ((1, -2**64), r"^counts\[1\] is negative$"),
     ],
 )
 def test_invalid_counts_rejected(counts, message):

@@ -152,6 +152,28 @@ def test_schema_rejects_non_plain_integer_header(tmp_path, value):
         load_schema(path)
 
 
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        ("# triplets=x", "schema header triplets='x' is not an integer"),
+        ("# colour=3", "unknown schema header key 'colour'"),
+    ],
+)
+def test_schema_header_errors_name_file_and_line(tmp_path, header, message):
+    # the bad override is on line 2, after a well-formed one
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"# verbs=3\n{header}\n"
+        "triplet_id,instrument_id,verb_id,target_id,"
+        "instrument_name,verb_name,target_name\n"
+        "0,0,0,0,a,b,c\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError) as info:
+        load_schema(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
 def test_schema_ids_allow_sign_and_whitespace(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text(
