@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .dataset_io import (
     FrameRecord, GroundedInstance, parse_video_file, read_text, video_files,
@@ -33,8 +32,7 @@ AMBIGUITY_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class TripletLabelFrame:
+class TripletLabelFrame(NamedTuple):
     """Frame-level labels: a multiset of triplet ids."""
 
     video_id: str
@@ -42,8 +40,7 @@ class TripletLabelFrame:
     triplets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InstanceMaskFrame:
+class InstanceMaskFrame(NamedTuple):
     """Instrument instances of one frame, without triplet assignments."""
 
     video_id: str
@@ -53,8 +50,7 @@ class InstanceMaskFrame:
     instances: tuple[tuple[int, int, RleMask], ...]  # (instance_id, instrument_id, mask)
 
 
-@dataclass(frozen=True)
-class AmbiguityEntry:
+class AmbiguityEntry(NamedTuple):
     video_id: str
     frame_id: int
     kind: str
@@ -69,8 +65,7 @@ class AmbiguityEntry:
         }
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(NamedTuple):
     entries: tuple[AmbiguityEntry, ...]
 
     def counts(self) -> dict[str, int]:

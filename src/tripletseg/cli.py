@@ -11,12 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 # each command imports the modules only it uses; numpy loads with fusion, and
 # in masks only with pair_intersections, _run_table, foreground_intervals,
-# rle_decode and rle_encode (--mode seg)
+# rle_decode and rle_encode (--mode seg). Records are NamedTuples or __slots__
+# classes, so no command loads the dataclass machinery, and inspect loads only
+# with numpy
 from . import dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
@@ -193,6 +196,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_fusion_sizes(args: argparse.Namespace) -> None:
+    """Rejects flags that size one of the check's float64 arrays at 2**63
+    bytes or more, which numpy refuses with a bare ValueError."""
+    d, q, c, h, w = args.d, args.queries, args.tissue_classes, args.height, args.width
+    tokens = sum((h >> k) * (w >> k) for k in range(args.levels))  # pyramid cells
+    for flags, shape in (
+        (("d",), (d, d)),
+        (("tissue_classes",), (c, c)),
+        (("tissue_classes", "d"), (c, d)),
+        (("queries", "d"), (q, d)),
+        (("height", "width", "tissue_classes"), (tokens, c)),
+        (("height", "width", "d"), (tokens, d)),
+        (("queries", "height", "width"), (q, tokens)),
+    ):
+        if 8 * math.prod(shape) >= 2**63:
+            named = ", ".join(f"--{f.replace('_', '-')} {getattr(args, f)}" for f in flags)
+            raise TripletSegError(
+                f"{named}: a {'x'.join(map(str, shape))} float64 array overflows int64 bytes"
+            )
+
+
 def _cmd_fusion_check(args: argparse.Namespace) -> int:
     from . import fusion
     for name in ("d", "queries", "height", "width", "tissue_classes", "levels"):
@@ -206,6 +230,7 @@ def _cmd_fusion_check(args: argparse.Namespace) -> int:
             raise TripletSegError(
                 f"--{name} must be at least 2^(levels-1) for --levels {args.levels}"
             )
+    _check_fusion_sizes(args)
     checks, report = fusion.self_check(
         args.seed, args.d, args.queries, args.height, args.width,
         args.tissue_classes, args.levels,
@@ -327,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except Exception as exc:  # never panic to the shell
         log.exception("unexpected failure")

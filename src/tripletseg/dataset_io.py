@@ -14,9 +14,8 @@ import json
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import DatasetError
 from .masks import BBox, MaskError, RleMask
@@ -27,8 +26,7 @@ _DECODER = json.JSONDecoder()
 _OPEN, _COMMA, _CLOSE = (re.compile(rf"[ \t\n\r]*{p}[ \t\n\r]*") for p in (r"\[", ",", r"\]"))
 
 
-@dataclass(frozen=True)
-class GroundedInstance:
+class GroundedInstance(NamedTuple):
     """One instrument instance, optionally carrying a triplet assignment."""
 
     instance_id: int
@@ -38,8 +36,7 @@ class GroundedInstance:
     flags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     """One annotated frame: instances plus frame-level triplet labels."""
 
     video_id: str
@@ -50,8 +47,7 @@ class FrameRecord:
     frame_triplets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(NamedTuple):
     """A scored triplet detection with mask and/or box geometry."""
 
     video_id: str
@@ -62,8 +58,7 @@ class DetectionRecord:
     bbox: BBox | None = None
 
 
-@dataclass(frozen=True)
-class RecognitionRecord:
+class RecognitionRecord(NamedTuple):
     """Frame-level score vector over the full triplet vocabulary."""
 
     video_id: str
@@ -71,15 +66,14 @@ class RecognitionRecord:
     scores: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     """Aggregate dataset counts and per-class histograms."""
 
     n_frames: int
     n_instances: int
     n_grounded: int
-    per_video: dict[str, dict[str, int]] = field(repr=False)
-    histograms: dict[str, dict[int, int]] = field(repr=False)
+    per_video: dict[str, dict[str, int]]
+    histograms: dict[str, dict[int, int]]
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

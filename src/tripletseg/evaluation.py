@@ -17,11 +17,10 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import add
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
 from .errors import EvaluationError, SchemaError
@@ -39,13 +38,7 @@ COMPONENT_LABELS = {"i": "I", "v": "V", "t": "T", "iv": "IV", "it": "IT", "ivt":
 FrameKey = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation settings; ``ap_method=None`` picks the mode's default
-    (monotone precision envelope for seg/det, raw step sum for rec).
-    ``jobs`` is accepted for compatibility and must be at least 1; the
-    work runs in one process."""
-
+class _ConfigFields(NamedTuple):
     mode: str
     iou_threshold: float = 0.5
     components: tuple[str, ...] = COMPONENTS
@@ -53,7 +46,17 @@ class EvalConfig:
     ap_method: str | None = None
     jobs: int = 1
 
-    def __post_init__(self) -> None:
+
+class EvalConfig(_ConfigFields):
+    """Evaluation settings; ``ap_method=None`` picks the mode's default
+    (monotone precision envelope for seg/det, raw step sum for rec).
+    ``jobs`` is accepted for compatibility and must be at least 1; the
+    work runs in one process. Construction and ``_replace`` both check it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> EvalConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("seg", "det", "rec"):
             raise EvaluationError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.iou_threshold <= 1.0:
@@ -73,6 +76,11 @@ class EvalConfig:
             raise EvaluationError(f"unknown ap_method {self.ap_method!r}")
         if self.jobs < 1:
             raise EvaluationError("jobs must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, fields: Any) -> EvalConfig:  # `_replace` builds through `_make`
+        return cls(*fields)
 
     @property
     def resolved_ap_method(self) -> str:
@@ -81,24 +89,22 @@ class EvalConfig:
         return "step" if self.mode == "rec" else "envelope"
 
 
-@dataclass(frozen=True)
-class ComponentResult:
+class ComponentResult(NamedTuple):
     """Scores of one component: mAP is the mean of per-class APs, ×100."""
 
     mAP: float
-    per_class: dict[ComponentKey, float] = field(repr=False)
+    per_class: dict[ComponentKey, float]
     gt_count: int = 0
     pred_count: int = 0
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     mode: str
     iou_threshold: float
     averaging: str
     ap_method: str
     frame_count: int
-    components: dict[str, ComponentResult] = field(repr=False)
+    components: dict[str, ComponentResult]
 
     def to_json_dict(self) -> dict[str, Any]:
         def class_key(key: ComponentKey) -> str:
@@ -245,8 +251,7 @@ def _pred_geometry(
     return det.mask
 
 
-@dataclass(frozen=True)
-class ClassRows:
+class ClassRows(NamedTuple):
     """One component of a match table, per dense class index ``k``: the
     scored rows of class ``k`` (``frame[k]``, ``score[k]``, ``tp[k]``)
     follow the table's frame order, and input order within a frame;
@@ -258,8 +263,7 @@ class ClassRows:
     gt_frame: list[list[int]]
 
 
-@dataclass(frozen=True)
-class MatchTable:
+class MatchTable(NamedTuple):
     """Stage-1 output. ``frames`` lists the frame keys in row order: sorted,
     with prediction-only frames, in seg/det mode; ground-truth order in rec
     mode, where every class has one row per frame. ``frame_preds`` counts

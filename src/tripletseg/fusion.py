@@ -17,8 +17,7 @@ this is a correctness reference, not a training component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -44,10 +43,7 @@ def _as_float64(name: str, value: Any, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    """Parameter blocks, all float64 and read-only after construction."""
-
+class _ParamFields(NamedTuple):
     query_proj: np.ndarray   # (d, d)
     key_proj: np.ndarray     # (d, d)
     value_proj: np.ndarray   # (d, d)
@@ -55,13 +51,19 @@ class FusionParams:
     gate_bias: np.ndarray    # (d,)
     anatomy_proj: np.ndarray  # (n_tissue_classes, d)
 
-    def __post_init__(self) -> None:
-        for name in ("query_proj", "key_proj", "value_proj", "gate_weight"):
-            object.__setattr__(self, name, _as_float64(name, getattr(self, name), 2))
-        object.__setattr__(self, "gate_bias", _as_float64("gate_bias", self.gate_bias, 1))
-        object.__setattr__(
-            self, "anatomy_proj", _as_float64("anatomy_proj", self.anatomy_proj, 2)
-        )
+
+class FusionParams(_ParamFields):
+    """Parameter blocks, all float64 and read-only after construction;
+    construction and ``_replace`` both check them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> FusionParams:
+        given = _ParamFields(*args, **kwargs)
+        self = super().__new__(cls, *(
+            _as_float64(name, value, 1 if name == "gate_bias" else 2)
+            for name, value in zip(cls._fields, given)
+        ))
         d = self.query_proj.shape[1]
         for name in ("query_proj", "key_proj", "value_proj", "gate_weight"):
             if getattr(self, name).shape != (d, d):
@@ -75,6 +77,11 @@ class FusionParams:
                 f"anatomy_proj must have {d} output channels, "
                 f"got {self.anatomy_proj.shape}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, fields: Any) -> FusionParams:  # `_replace` builds through `_make`
+        return cls(*fields)
 
     @property
     def d(self) -> int:
@@ -271,8 +278,7 @@ def loss_and_gradients(
     return loss, grads
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
+class GradCheckReport(NamedTuple):
     step: float
     tolerance: float
     block_errors: dict[str, float]
@@ -339,7 +345,7 @@ def _grad_checks(
         if name == "queries":
             out = fusion_forward(values, logits, params, levels)
         else:
-            out = fusion_forward(queries, logits, replace(params, **{name: values}), levels)
+            out = fusion_forward(queries, logits, params._replace(**{name: values}), levels)
         return float((out * out).sum())
 
     errors: list[dict[str, float]] = [{} for _ in corrupts]

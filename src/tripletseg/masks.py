@@ -22,12 +22,10 @@ from __future__ import annotations
 import struct
 from array import array
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from numbers import Integral
 from operator import add, mod
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import MaskError
 
@@ -43,21 +41,18 @@ def _packer(n: int) -> Callable[..., bytes]:
     return struct.Struct(f"{n}Q").pack
 
 
-@dataclass(frozen=True)
 class RleMask:
     """Validated run-length mask over an ``height x width`` grid. ``counts``
-    may be any sequence of integers; it is stored as an ``array('q')``."""
+    may be any sequence of integers; it is stored as an ``array('q')``.
+    Masks are immutable and compare and hash by value."""
 
-    height: int
-    width: int
-    counts: Sequence[int]
+    __slots__ = ("height", "width", "counts", "_area")
 
-    def __post_init__(self) -> None:
-        counts = self.counts
-        if self.height < 1 or self.width < 1:
-            raise MaskError(f"mask size {self.height}x{self.width} must be positive")
-        if self.height * self.width >= 2**63:
-            raise MaskError(f"mask size {self.height}x{self.width} overflows int64")
+    def __init__(self, height: int, width: int, counts: Sequence[int]) -> None:
+        if height < 1 or width < 1:
+            raise MaskError(f"mask size {height}x{width} must be positive")
+        if height * width >= 2**63:
+            raise MaskError(f"mask size {height}x{width} overflows int64")
         if not counts:
             raise MaskError("empty counts")
         if len(counts) > 1 and counts[-1] == 0:
@@ -72,6 +67,7 @@ class RleMask:
             except struct.error:
                 pass
         if packed is None:
+            from numbers import Integral
             for idx, c in enumerate(counts):
                 if not isinstance(c, Integral) or isinstance(c, bool):
                     raise MaskError(f"counts[{idx}] is not an integer")
@@ -81,14 +77,27 @@ class RleMask:
                     raise MaskError(f"zero count at index {idx}, only allowed first")
             counts = list(map(int, counts))
         total = sum(counts)
-        if total != self.height * self.width:
-            raise MaskError(
-                f"counts sum {total} != {self.height}*{self.width} pixels"
-            )
+        if total != height * width:
+            raise MaskError(f"counts sum {total} != {height}*{width} pixels")
         # the sum bounds every count below 2**63, so unsigned bytes are int64
         # bytes; an array built from bytes keeps 1/16 spare, its slice does not
         packed = packed or _packer(len(counts))(*counts)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "counts", array("q", packed)[:])
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.height, self.width, self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.height, self.width, self.counts) == (other.height, other.width, other.counts)
 
     def __hash__(self) -> int:
         return hash((self.height, self.width, self.counts.tobytes()))
@@ -97,10 +106,14 @@ class RleMask:
         return (f"RleMask(height={self.height!r}, width={self.width!r}, "
                 f"counts={tuple(self.counts)!r})")
 
-    @cached_property
+    @property
     def area(self) -> int:
-        """Number of foreground pixels."""
-        return sum(self.counts[1::2])
+        """Number of foreground pixels, summed once."""
+        try:
+            return self._area
+        except AttributeError:
+            object.__setattr__(self, "_area", sum(self.counts[1::2]))
+            return self._area
 
     @classmethod
     def from_json_dict(cls, obj: Any) -> "RleMask":
@@ -125,20 +138,30 @@ class RleMask:
         return {"size": [self.height, self.width], "counts": self.counts.tolist()}
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box: top-left corner plus size, in pixels."""
-
+class _BoxFields(NamedTuple):
     x: int
     y: int
     w: int
     h: int
 
-    def __post_init__(self) -> None:
+
+class BBox(_BoxFields):
+    """Axis-aligned box: top-left corner plus size, in pixels. Construction
+    and ``_replace`` both check it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> BBox:
+        self = super().__new__(cls, *args, **kwargs)
         if self.w < 1 or self.h < 1:
             raise MaskError(f"box size {self.w}x{self.h} must be at least 1x1")
         if self.x < 0 or self.y < 0:
             raise MaskError(f"box corner ({self.x}, {self.y}) is negative")
+        return self
+
+    @classmethod
+    def _make(cls, fields: Any) -> BBox:  # `_replace` builds through `_make`
+        return cls(*fields)
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:

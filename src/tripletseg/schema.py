@@ -12,7 +12,6 @@ class index, assigned in sorted key order, for array-based evaluation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Union
@@ -38,7 +37,6 @@ _HEADER = [
 ]
 
 
-@dataclass(frozen=True)
 class TripletSchema:
     """Immutable triplet vocabulary.
 
@@ -47,33 +45,49 @@ class TripletSchema:
     the triplet table but are still part of the declared class count.
     ``class_keys[component]`` lists the component keys reachable from the
     triplet table in sorted order; a key's position is its class index,
-    and ``class_index[component]`` maps each triplet id to it.
+    and ``class_index[component]`` maps each triplet id to it. Schemas
+    compare by their eight given fields.
     """
 
-    n_triplets: int
-    n_instruments: int
-    n_verbs: int
-    n_targets: int
-    triplets: dict[int, tuple[int, int, int]] = field(repr=False)
-    instrument_names: dict[int, str] = field(repr=False)
-    verb_names: dict[int, str] = field(repr=False)
-    target_names: dict[int, str] = field(repr=False)
-    class_keys: dict[str, tuple[ComponentKey, ...]] = field(init=False, repr=False, compare=False)
-    # per component: triplet_id -> class index, -1 for ids not in the table
-    class_index: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _FIELDS = ("n_triplets", "n_instruments", "n_verbs", "n_targets",
+               "triplets", "instrument_names", "verb_names", "target_names")
+    # class_keys and class_index derive from triplets; class_index holds -1
+    # for ids not in the table
+    __slots__ = (*_FIELDS, "class_keys", "class_index")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, n_triplets: int, n_instruments: int, n_verbs: int, n_targets: int,
+        triplets: dict[int, tuple[int, int, int]], instrument_names: dict[int, str],
+        verb_names: dict[int, str], target_names: dict[int, str],
+    ) -> None:
+        given = (n_triplets, n_instruments, n_verbs, n_targets,
+                 triplets, instrument_names, verb_names, target_names)
+        for name, value in zip(self._FIELDS, given):
+            object.__setattr__(self, name, value)
         keys, index = {}, {}
         for comp in COMPONENTS:
-            projected = {tid: self.project(tid, comp) for tid in self.triplets}
+            projected = {tid: self.project(tid, comp) for tid in triplets}
             keys[comp] = tuple(sorted(set(projected.values())))
             rank = {key: k for k, key in enumerate(keys[comp])}
             index[comp] = tuple(
                 rank[projected[tid]] if tid in projected else -1
-                for tid in range(max(self.triplets, default=-1) + 1)
+                for tid in range(max(triplets, default=-1) + 1)
             )
         object.__setattr__(self, "class_keys", keys)
         object.__setattr__(self, "class_index", index)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
     def project(self, triplet_id: int, component: str) -> ComponentKey:
         """Project a triplet id onto one component space."""

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Hashable, Sequence, TypeVar
+from typing import Any, Hashable, NamedTuple, Sequence, TypeVar
 
 from .errors import StatsError
 
@@ -78,15 +77,13 @@ def _fisher_yates(items: list, rng: _Xoshiro256StarStar) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
-class SubsetPartition:
+class SubsetPartition(NamedTuple):
     seed: int
     subset_size: int
     subsets: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(NamedTuple):
     statistic: float
     n_effective: int
     p_value: float
@@ -101,8 +98,7 @@ class WilcoxonResult:
         }
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     per_subset: tuple[tuple[float, float], ...]
     deltas: tuple[float, ...]
     median_a: float

@@ -513,6 +513,9 @@ def test_fusion_check_determinism(capsys):
     assert first == second
 
 
+HUGE = str(2**62)  # so wide that numpy refuses the arrays before allocating anything
+
+
 @pytest.mark.parametrize("flags, flag", [
     (["--levels", "0"], "--levels"),
     (["--d", "0"], "--d"),
@@ -522,8 +525,12 @@ def test_fusion_check_determinism(capsys):
     (["--tissue-classes", "0"], "--tissue-classes"),
     (["--height", "1", "--levels", "2"], "--height"),
     (["--seed", "-1"], "--seed"),
+    (["--d", HUGE, "--queries", "1", "--height", "1", "--width", "1", "--levels", "1",
+      "--tissue-classes", "1"], "--d"),
+    (["--queries", HUGE], "--queries"),
+    (["--height", HUGE, "--levels", "3"], "--height"),
 ], ids=["levels-0", "d-0", "d-neg", "queries-0", "height-0", "tissue-classes-0",
-        "height-below-pyramid", "seed-neg"])
+        "height-below-pyramid", "seed-neg", "d-2-62", "queries-2-62", "height-2-62"])
 def test_fusion_check_rejects_bad_arguments(capsys, flags, flag):
     assert main(["fusion-check", *flags]) == 1
     captured = capsys.readouterr()
@@ -531,6 +538,25 @@ def test_fusion_check_rejects_bad_arguments(capsys, flags, flag):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert flag in lines[0]
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)", "74.5 GiB"),
+    ("", "allocation failed"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_is_one_line_and_exit_2(monkeypatch, capsys, message, shown):
+    from tripletseg import fusion
+
+    def self_check(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fusion, "self_check", self_check)
+    assert main(["fusion-check", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+    assert shown in lines[0]
 
 
 def _child_env() -> dict[str, str]:
@@ -551,6 +577,7 @@ def test_console_script_subprocess(gt_dir):
 
 
 def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
+    # nor dataclasses or inspect: records are NamedTuples or __slots__ classes
     # label and mask streams that align back into gt_dir
     labels = ["video_id,frame_id,triplet_id"]
     (tmp_path / "masks").mkdir()
@@ -613,7 +640,8 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
         "for code, argv in json.loads(sys.argv[1]):\n"
         "    if main(argv) != code:\n"
         "        sys.exit(f'{argv[0]} did not exit {code}')\n"
-        "    for name in ('numpy', 'tripletseg.alignment')[:1 if argv[0] == 'align' else 2]:\n"
+        "    names = ('dataclasses', 'inspect', 'numpy', 'tripletseg.alignment')\n"
+        "    for name in names[:3 if argv[0] == 'align' else 4]:\n"
         "        if name in sys.modules:\n"
         "            sys.exit(f'{argv[0]} loaded {name}')\n"
     )
@@ -635,6 +663,27 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
     assert json.loads((tmp_path / "cmp.json").read_text())["wilcoxon"]["p_value"] == 2 / 16
     for path in gt_dir.glob("*.json"):
         assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_seg_eval_and_fusion_check_never_load_dataclasses(gt_dir, tmp_path):
+    preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
+    child = (
+        "import sys\n"
+        "from tripletseg.cli import main\n"
+        "for argv in (sys.argv[1:], ['fusion-check', '--seed', '0']):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+        "    if 'dataclasses' in sys.modules:\n"
+        "        sys.exit(f'{argv[0]} loaded dataclasses')\n"
+        "    if argv[0] == 'eval' and 'numpy' not in sys.modules:\n"
+        "        sys.exit('eval --mode seg did not load numpy')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, "eval", "--gt", str(gt_dir), "--preds", str(preds),
+         "--mode", "seg"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

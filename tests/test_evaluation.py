@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,10 +332,10 @@ def _tied_dataset(rng, schema, with_bbox_only):
     frames, preds = [], []
     for k in range(8):
         inst_frames, inst_preds = micro_instance(rng, schema, with_bbox_only)
-        frames += [replace(r, video_id=f"{r.video_id}-{k}") for r in inst_frames]
-        inst_preds = [replace(d, video_id=f"{d.video_id}-{k}", score=round(d.score, 1))
+        frames += [r._replace(video_id=f"{r.video_id}-{k}") for r in inst_frames]
+        inst_preds = [d._replace(video_id=f"{d.video_id}-{k}", score=round(d.score, 1))
                       for d in inst_preds]
-        preds += inst_preds + [replace(d, frame_id=d.frame_id + 100) for d in inst_preds[::3]]
+        preds += inst_preds + [d._replace(frame_id=d.frame_id + 100) for d in inst_preds[::3]]
     return frames, preds
 
 
