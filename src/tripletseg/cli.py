@@ -12,14 +12,15 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
 # each command imports the modules only it uses; numpy loads with fusion, and
 # in masks only with pair_intersections, _run_table, foreground_intervals,
-# rle_decode and rle_encode (--mode seg). Records are NamedTuples or __slots__
-# classes, so no command loads the dataclass machinery, and inspect loads only
-# with numpy
+# rle_decode and rle_encode (--mode seg), after main has capped OpenBLAS at one
+# thread. Records are NamedTuples or __slots__ classes, so no command loads the
+# dataclass machinery, and inspect loads only with numpy
 from . import dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema
@@ -339,6 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # numpy's OpenBLAS starts a worker thread per extra core as it loads.
+        # No command gains from them (only fusion-check calls BLAS, on tiny
+        # matrices), and on a 2-core host starting one made `import numpy`
+        # take about 150 ms instead of 90. A value the user set wins; a process
+        # that already loaded numpy has its pool, so its environment is left
+        # alone.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,

@@ -15,7 +15,6 @@ approximation with tie and continuity corrections beyond that.
 from __future__ import annotations
 
 import math
-import statistics
 from itertools import groupby
 from typing import Any, Hashable, NamedTuple, Sequence, TypeVar
 
@@ -210,6 +209,15 @@ def wilcoxon_one_sided(
     )
 
 
+def _median(values: Sequence[float]) -> float:
+    """``statistics.median`` of non-empty ``values``, by the same formula so
+    the float bits agree, without importing statistics, which brings in
+    fractions and decimal."""
+    data = sorted(values)
+    i = len(data) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
+
+
 def compare_methods(
     values_a: Sequence[float], values_b: Sequence[float]
 ) -> ComparisonResult:
@@ -224,8 +232,8 @@ def compare_methods(
     return ComparisonResult(
         per_subset=tuple(zip(a, b)),
         deltas=tuple(deltas),
-        median_a=statistics.median(a),
-        median_b=statistics.median(b),
-        median_delta=statistics.median(deltas),
+        median_a=_median(a),
+        median_b=_median(b),
+        median_delta=_median(deltas),
         wilcoxon=wilcoxon,
     )

@@ -561,10 +561,19 @@ def test_out_of_memory_is_one_line_and_exit_2(monkeypatch, capsys, message, show
 
 def _child_env() -> dict[str, str]:
     """An environment whose Python imports the same package as this
-    process, installed or not."""
+    process, installed or not, with OpenBLAS's thread count left unset."""
     src = str(Path(tripletseg.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+# after a command returns, its process runs one OS thread (Linux only)
+ONE_THREAD_CHECK = (
+    "    if os.path.isdir('/proc/self/task') and len(os.listdir('/proc/self/task')) != 1:\n"
+    "        sys.exit(f'{argv[0]} left {len(os.listdir(\"/proc/self/task\"))} threads')\n"
+)
 
 
 def test_console_script_subprocess(gt_dir):
@@ -577,7 +586,8 @@ def test_console_script_subprocess(gt_dir):
 
 
 def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
-    # nor dataclasses or inspect: records are NamedTuples or __slots__ classes
+    # nor dataclasses or inspect: records are NamedTuples or __slots__ classes;
+    # nor statistics: compare takes its medians in plain Python
     # label and mask streams that align back into gt_dir
     labels = ["video_id,frame_id,triplet_id"]
     (tmp_path / "masks").mkdir()
@@ -635,15 +645,16 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
              str(tmp_path / "masks"), "--out", str(tmp_path / "aligned")]),
     ]
     child = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         "from tripletseg.cli import main\n"
         "for code, argv in json.loads(sys.argv[1]):\n"
         "    if main(argv) != code:\n"
         "        sys.exit(f'{argv[0]} did not exit {code}')\n"
-        "    names = ('dataclasses', 'inspect', 'numpy', 'tripletseg.alignment')\n"
-        "    for name in names[:3 if argv[0] == 'align' else 4]:\n"
+        "    names = ('dataclasses', 'inspect', 'numpy', 'statistics', 'tripletseg.alignment')\n"
+        "    for name in names[:4 if argv[0] == 'align' else 5]:\n"
         "        if name in sys.modules:\n"
         "            sys.exit(f'{argv[0]} loaded {name}')\n"
+        + ONE_THREAD_CHECK
     )
     result = subprocess.run(
         [sys.executable, "-c", child, json.dumps(commands)],
@@ -683,6 +694,70 @@ def test_seg_eval_and_fusion_check_never_load_dataclasses(gt_dir, tmp_path):
          "--mode", "seg"],
         capture_output=True, text=True, env=_child_env(),
     )
+    assert result.returncode == 0, result.stderr
+
+
+def test_numpy_commands_start_openblas_with_one_thread(gt_dir, tmp_path):
+    # unless OPENBLAS_NUM_THREADS is set, which the CLI keeps; the pool's size
+    # changes no output byte, fusion-check's matmuls included
+    preds_a = _write_perfect_preds(gt_dir, tmp_path / "a.json")
+    preds_b = tmp_path / "b.json"
+    preds_b.write_text(json.dumps(json.loads(preds_a.read_text())[1:]))
+    child = (
+        "import json, os, sys\n"
+        "from tripletseg.cli import main\n"
+        "threads, out, commands = sys.argv[1:]\n"
+        "for argv in json.loads(commands):\n"
+        "    if main([a.replace('{out}', out) for a in argv]) != 0:\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+        "    if 'numpy' not in sys.modules:\n"
+        "        sys.exit(f'{argv[0]} did not load numpy')\n"
+        "    if os.environ.get('OPENBLAS_NUM_THREADS') != threads:\n"
+        "        sys.exit(f'{argv[0]} left OPENBLAS_NUM_THREADS at '\n"
+        "                 f'{os.environ.get(\"OPENBLAS_NUM_THREADS\")!r}')\n"
+        "    if threads != '1':\n"
+        "        continue\n"
+        + ONE_THREAD_CHECK
+    )
+    commands = [
+        ["eval", "--gt", str(gt_dir), "--preds", str(preds_a), "--mode", "seg",
+         "--out", "{out}/eval.json"],
+        ["compare", "--gt", str(gt_dir), "--preds-a", str(preds_a), "--preds-b", str(preds_b),
+         "--mode", "seg", "--n-subsets", "3", "--subset-size", "2", "--out", "{out}/cmp.json"],
+        ["fusion-check", "--seed", "0", "--json-out", "{out}/fusion.json"],
+    ]
+    outputs = {}
+    for threads in (None, "2"):
+        out = tmp_path / f"out-{threads}"
+        out.mkdir()
+        env = _child_env()
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", child, threads or "1", str(out), json.dumps(commands)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert list(outputs[None]) == ["cmp.json", "eval.json", "fusion.json"]
+    assert outputs[None] == outputs["2"]
+
+
+def test_library_use_leaves_the_environment_alone():
+    # only cli.main caps OpenBLAS's threads; importing the package and
+    # running the numpy kernel changes nothing
+    child = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "from tripletseg.masks import RleMask, pair_ious\n"
+        "mask = RleMask(height=4, width=4, counts=(5, 6, 5))\n"
+        "if pair_ious([mask], [mask]) != [1.0] or 'numpy' not in sys.modules:\n"
+        "    sys.exit('pair_ious did not run on numpy')\n"
+        "if dict(os.environ) != before:\n"
+        "    sys.exit('the environment changed')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", child],
+                            capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
 
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_wilcoxon_one_sided
 from tripletseg.errors import StatsError
 from tripletseg.stats import (
     SubsetPartition,
+    _median,
     compare_methods,
     partition_frames,
     wilcoxon_one_sided,
@@ -270,6 +274,27 @@ def test_compare_methods_medians_odd_and_even(a, b, medians):
     result = compare_methods(a, b)
     assert (result.median_a, result.median_b, result.median_delta) == medians
     assert medians == (np.median(a), np.median(b), np.median(np.subtract(a, b)))
+
+
+BIG = 1.7976931348623157e308  # the largest finite float
+
+
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, BIG, -BIG]),
+), min_size=1, max_size=12))
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, -0.0])
+@example([-0.0])
+@example([BIG, BIG, 1.0])
+@example([BIG, BIG])
+@example([2.0, 1.0, 2.0, 1.0])
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+def test_median_has_the_float_bits_of_statistics_median(values):
+    # odd and even n, ties, signed zeros and sums that overflow; hex tells
+    # -0.0 from 0.0
+    assert _median(values).hex() == statistics.median(values).hex()
 
 
 def test_compare_methods_length_mismatch():
