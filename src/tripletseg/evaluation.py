@@ -15,11 +15,10 @@ triplet space.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from collections.abc import Collection
-from functools import reduce
 from itertools import compress, count, repeat
-from operator import add
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
@@ -171,20 +170,6 @@ def _greedy(rows: list[list[tuple[int, float]]]) -> list[bool]:
     return flags
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Sum in numpy's float64 order (``np.add.reduce``), which fixes the
-    last bit of every AP and mAP: 8 accumulators up to 128 items, halves above."""
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    r = [reduce(add, values[j:n - n % 8:8]) for j in range(8)]
-    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, values[n - n % 8:], head)
-
-
 def average_precision(
     scored_flags: Sequence[tuple[float, bool]] | np.ndarray, gt_count: int, method: str
 ) -> float:
@@ -216,7 +201,7 @@ def _average_precision(
     if method == "envelope":  # the envelope's maxima lie on true positives
         for i in range(len(precision) - 2, -1, -1):
             precision[i] = max(precision[i], precision[i + 1])
-    return _pairwise_sum(precision) / gt_count
+    return math.fsum(precision) / gt_count
 
 
 def _pred_geometry(
@@ -480,9 +465,9 @@ def _score_component(
     when every class has one row per frame (rec mode), and is None
     otherwise. ``group`` names each frame's video in per-video averaging
     and is None when pooled; rows keep their order within a video, so
-    each ranking ties exactly as in the frame sequence."""
+    each ranking ties exactly as in the frame sequence. Sums are exactly
+    rounded, so no result depends on the order of classes or videos."""
     aps: dict[int, float] = {}
-    first: dict[int, int] = {}
     gt_count = 0
     for k, (frame, score, tp, gt_frame) in enumerate(
             zip(rows.frame, rows.score, rows.tp, rows.gt_frame)):
@@ -496,7 +481,6 @@ def _score_component(
         gt_count += len(gt_frame)
         if not gt_frame:
             continue
-        first[k] = min(frame[0], gt_frame[0]) if frame else gt_frame[0]
         if group is None:
             group_aps = [_average_precision(score, tp, len(gt_frame), method)]
         else:
@@ -506,14 +490,11 @@ def _score_component(
                 video_score.append(s)
                 video_tp.append(hit)
             group_aps = [_average_precision(*by_video.get(g, ([], [])), n, method)
-                         for g, n in sorted(Counter(group[f] for f in gt_frame).items())]
-        aps[k] = _pairwise_sum(group_aps) / len(group_aps) * 100.0
+                         for g, n in Counter(group[f] for f in gt_frame).items()]
+        aps[k] = math.fsum(group_aps) / len(group_aps) * 100.0
 
-    # mAP averages classes in order of their first frame, then class index;
-    # the summation order fixes the last bit of the report's mAP
-    in_order = sorted(aps, key=lambda k: (first[k], k))
     return ComponentResult(
-        mAP=_pairwise_sum([aps[k] for k in in_order]) / len(aps) if aps else 0.0,
+        mAP=math.fsum(aps.values()) / len(aps) if aps else 0.0,
         per_class={keys[k]: ap for k, ap in aps.items()},
         gt_count=gt_count,
         pred_count=pred_count,

@@ -89,13 +89,19 @@ class FusionParams(_ParamFields):
 
     @classmethod
     def random(cls, d: int, n_tissue_classes: int, rng: np.random.Generator) -> "FusionParams":
+        """Weights with standard deviation 1/sqrt(fan_in), so attention
+        logits stay O(1) and the softmax does not saturate as ``d`` grows;
+        the gate bias is unit normal."""
+        def weight(fan_in: int) -> np.ndarray:
+            return rng.standard_normal((fan_in, d)) / np.sqrt(fan_in)
+
         return cls(
-            query_proj=rng.standard_normal((d, d)),
-            key_proj=rng.standard_normal((d, d)),
-            value_proj=rng.standard_normal((d, d)),
-            gate_weight=rng.standard_normal((d, d)),
+            query_proj=weight(d),
+            key_proj=weight(d),
+            value_proj=weight(d),
+            gate_weight=weight(d),
             gate_bias=rng.standard_normal(d),
-            anatomy_proj=rng.standard_normal((n_tissue_classes, d)),
+            anatomy_proj=weight(n_tissue_classes),
         )
 
 

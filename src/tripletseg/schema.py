@@ -158,9 +158,9 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
         source = "packaged triplet_schema.csv"
     else:
         path = Path(path)
-        try:
+        try:  # an OSError is an i/o error, left to the caller
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
             raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
         source = str(path)
 

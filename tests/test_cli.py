@@ -370,6 +370,14 @@ def test_non_utf8_schema_is_domain_error(gt_dir, tmp_path, capsys):
     assert str(schema_file) in err[0] and "unexpected failure" not in err[0]
 
 
+@pytest.mark.parametrize("name", ["absent.csv", "."], ids=["missing", "directory"])
+def test_unreadable_schema_is_io_error(gt_dir, tmp_path, capsys, name):
+    code = main(["validate", "--gt", str(gt_dir), "--schema", str(tmp_path / name)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+
+
 def test_compare_values_form(tmp_path, capsys):
     values_a = tmp_path / "a.json"
     values_b = tmp_path / "b.json"

@@ -22,7 +22,6 @@ from tripletseg.dataset_io import (
 from tripletseg.errors import EvaluationError
 from tripletseg.evaluation import (
     EvalConfig,
-    _pairwise_sum,
     average_precision,
     evaluate,
     evaluate_grounded,
@@ -175,14 +174,40 @@ def test_ap_matches_oracle_randomized(rng):
             )
 
 
-def test_pairwise_sum_is_numpy_sum_bit_for_bit():
-    # reports are byte-identical to numpy's pairwise float64 summation
-    rng = np.random.default_rng(11)
-    for n in [*range(301), 1000, 72000]:
-        values = 10.0 ** rng.uniform(-5, 5, n)
-        repeats = rng.choice(values[:3], n) if n else values
-        for xs in (values.tolist(), repeats.tolist()):
-            assert _pairwise_sum(xs).hex() == float(np.add.reduce(np.array(xs))).hex(), n
+def _many_videos(rng, schema, n_parts=8):
+    """Ground truth, seg/det predictions and rec predictions over up to
+    ``2 * n_parts`` videos, joined from ``micro_instance`` problems; no two
+    scores tie, and ground truth is in (video_id, frame_id) order, as read."""
+    frames, preds = [], []
+    for part in range(n_parts):
+        part_frames, part_preds = micro_instance(rng, schema)
+        frames += [r._replace(video_id=f"p{part}{r.video_id}") for r in part_frames]
+        preds += [p._replace(video_id=f"p{part}{p.video_id}") for p in part_preds]
+    frames.sort()
+    rec = [RecognitionRecord(r.video_id, r.frame_id, tuple(rng.random(schema.n_triplets)))
+           for r in frames]
+    return frames, preds, rec
+
+
+@pytest.mark.parametrize("averaging", ["per_video", "pooled"])
+@pytest.mark.parametrize("mode", ["seg", "det", "rec"])
+def test_report_does_not_depend_on_video_names(schema, mode, averaging):
+    # renaming reverses the videos' sort order, and so the order in which
+    # classes, videos and frames reach the scorer; exact sums ignore it
+    for seed in range(4):
+        frames, preds, rec = _many_videos(np.random.default_rng(seed), schema)
+        videos = sorted({r.video_id for r in frames})
+        renamed = {v: f"v{len(videos) - i:03d}" for i, v in enumerate(videos)}
+
+        def rename(records):
+            return [r._replace(video_id=renamed[r.video_id]) for r in records]
+
+        if mode == "rec":
+            preds = rec
+        config = EvalConfig(mode=mode, averaging=averaging)
+        before = evaluate(frames, preds, config, schema)
+        after = evaluate(sorted(rename(frames)), rename(preds), config, schema)
+        assert json.dumps(after.to_json_dict()) == json.dumps(before.to_json_dict()), seed
 
 
 # projection

@@ -13,6 +13,7 @@ from tripletseg.fusion import (
     gated_fusion,
     grad_check,
     loss_and_gradients,
+    self_check,
 )
 
 D = 8
@@ -272,6 +273,16 @@ def test_grad_check_differentiates_fusion_forward(params, queries, logits, monke
     forward = fusion.fusion_forward
     monkeypatch.setattr(fusion, "fusion_forward", lambda *args: 1.5 * forward(*args))
     assert not grad_check(params, queries, logits, levels=2).passed
+
+
+@pytest.mark.parametrize("d", [8, 24, 32])
+@pytest.mark.parametrize("seed", range(4))
+def test_self_check_passes_at_larger_d(d, seed):
+    # weights too large for d saturate the softmax, and the key and query
+    # gradients fall below the finite differences' round-off
+    checks, _ = self_check(seed, d, n_queries=4, height=4, width=4,
+                           n_tissue_classes=6, levels=2)
+    assert all(ok for _, ok in checks), [label for label, ok in checks if not ok]
 
 
 def test_grad_check_json(params, queries, logits):
