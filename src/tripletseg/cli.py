@@ -158,12 +158,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 raise TripletSegError(f"--{name.replace('_', '-')} is required")
         schema = load_schema(args.schema)
         frames = dataset_io.read_ground_truth(args.gt, schema)
+        # the partition needs only the ground truth: check it before reading predictions
+        frame_keys = [(r.video_id, r.frame_id) for r in frames]
+        partition = stats.partition_frames(frame_keys, args.n_subsets, args.subset_size, args.seed)
         preds_a = dataset_io.read_predictions(args.preds_a, args.mode, schema)
         preds_b = dataset_io.read_predictions(args.preds_b, args.mode, schema)
-        frame_keys = [(r.video_id, r.frame_id) for r in frames]
-        partition = stats.partition_frames(
-            frame_keys, args.n_subsets, args.subset_size, args.seed
-        )
         # match each method once, on the frames the subsets cover, then
         # score every subset from its table
         used = {key for subset in partition.subsets for key in subset}

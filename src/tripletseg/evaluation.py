@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from collections.abc import Collection
-from itertools import compress, count, repeat
+from itertools import compress, count, groupby, repeat
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
@@ -457,41 +456,40 @@ def match(
 
 
 def _score_component(
-    rows: ClassRows, keys: tuple[ComponentKey, ...], selected: list[bool] | None,
-    picked: list[int] | None, group: list[str] | None, method: str, pred_count: int,
+    rows: ClassRows, keys: tuple[ComponentKey, ...], ranking: list[int] | None,
+    splits: dict[int, dict[int, list[int]]], method: str, pred_count: int,
 ) -> ComponentResult:
-    """Every class AP of one component over the selected frames (all if
-    ``selected`` is None). ``picked`` lists the selected frames in order
-    when every class has one row per frame (rec mode), and is None
-    otherwise. ``group`` names each frame's video in per-video averaging
-    and is None when pooled; rows keep their order within a video, so
-    each ranking ties exactly as in the frame sequence. Sums are exactly
-    rounded, so no result depends on the order of classes or videos."""
+    """Every class AP of one component. ``ranking`` gives each frame's
+    ranking, -1 if left out, or is None to rank all rows together; ``splits``
+    caches each frame column's row indices per ranking. A ranking keeps row
+    order, so it ties exactly as in the frame sequence. Sums are exactly
+    rounded, so no result depends on the order of classes or rankings."""
     aps: dict[int, float] = {}
     gt_count = 0
     for k, (frame, score, tp, gt_frame) in enumerate(
             zip(rows.frame, rows.score, rows.tp, rows.gt_frame)):
-        if picked is not None:  # row f is frame f
-            frame, score, tp = picked, [score[f] for f in picked], [tp[f] for f in picked]
-        elif selected is not None:
-            keep = [selected[f] for f in frame]
-            frame, score, tp = (list(compress(col, keep)) for col in (frame, score, tp))
-        if selected is not None:
-            gt_frame = [f for f in gt_frame if selected[f]]
-        gt_count += len(gt_frame)
-        if not gt_frame:
+        if ranking is None:
+            gt_count += len(gt_frame)
+            if gt_frame:
+                aps[k] = _average_precision(score, tp, len(gt_frame), method) * 100.0
             continue
-        if group is None:
-            group_aps = [_average_precision(score, tp, len(gt_frame), method)]
-        else:
-            by_video: dict[str, tuple[list[float], list[bool]]] = {}
-            for f, s, hit in zip(frame, score, tp):
-                video_score, video_tp = by_video.setdefault(group[f], ([], []))
-                video_score.append(s)
-                video_tp.append(hit)
-            group_aps = [_average_precision(*by_video.get(g, ([], [])), n, method)
-                         for g, n in Counter(group[f] for f in gt_frame).items()]
-        aps[k] = math.fsum(group_aps) / len(group_aps) * 100.0
+        held = [r for r in map(ranking.__getitem__, gt_frame) if r >= 0]
+        gt_count += len(held)
+        if not held:
+            continue
+        split = splits.get(id(frame))
+        if split is None:  # row indices per ranking, gathered run by run
+            split = splits[id(frame)] = {}
+            of_row = list(map(ranking.__getitem__, frame)).__getitem__
+            for r, run in groupby(range(len(frame)), of_row):
+                split.setdefault(r, []).extend(run)
+        ranked_aps = []
+        for r in dict.fromkeys(held):  # the rankings holding GT of the class
+            at = split.get(r, ())
+            ranked_aps.append(_average_precision(
+                list(map(score.__getitem__, at)), list(map(tp.__getitem__, at)),
+                held.count(r), method))
+        aps[k] = math.fsum(ranked_aps) / len(ranked_aps) * 100.0
 
     return ComponentResult(
         mAP=math.fsum(aps.values()) / len(aps) if aps else 0.0,
@@ -504,28 +502,31 @@ def _score_component(
 def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> EvalReport:
     """Stage 2: the report of a match table over all of its frames, or over
     ``frames`` only, which must be ground-truth frames of the table.
-    Pooled averaging ranks each class over all selected frames; per-video
-    averaging takes the mean AP over the videos holding the class."""
+    Pooled averaging ranks each class over all selected rows; per-video
+    averaging ranks each video's rows apart, its prediction-only frames
+    included in a full evaluation. A subset restricts every ranking to its
+    frames. A class AP is the mean over the rankings holding its GT."""
     config = table.config
-    selected, picked, pred_count, frame_count = None, None, table.n_preds, sum(table.in_gt)
+    pred_count, frame_count = table.n_preds, sum(table.in_gt)
+    # each frame's ranking: its video's ordinal per video, 0 pooled, -1 when
+    # a subset leaves it out; None while all rows form one ranking
+    ordinal: dict[str, int] = {}
+    ranking = ([ordinal.setdefault(vid, len(ordinal)) for vid, _ in table.frames]
+               if config.averaging == "per_video" else None)
     if frames is not None:
         wanted = set(frames)
         position = {k: i for i, k in enumerate(table.frames) if table.in_gt[i]}
         missing = wanted - position.keys()
         if missing:
-            raise EvaluationError(
-                f"subset frames not in ground truth: {sorted(missing)[:5]}"
-            )
-        selected = [False] * len(table.frames)
-        for k in wanted:
-            selected[position[k]] = True
-        if config.mode == "rec":
-            picked = list(compress(count(), selected))
-        pred_count = sum(compress(table.frame_preds, selected))
+            raise EvaluationError(f"subset frames not in ground truth: {sorted(missing)[:5]}")
+        full, ranking = ranking, [-1] * len(table.frames)
+        for f in map(position.__getitem__, wanted):
+            ranking[f] = 0 if full is None else full[f]
+        pred_count = sum(table.frame_preds[position[k]] for k in wanted)
         frame_count = len(wanted)
 
-    group = [vid for vid, _ in table.frames] if config.averaging == "per_video" else None
     method = config.resolved_ap_method
+    splits: dict[int, dict[int, list[int]]] = {}  # rec classes share one frame column
     return EvalReport(
         mode=config.mode,
         iou_threshold=config.iou_threshold,
@@ -534,9 +535,7 @@ def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> Eval
         frame_count=frame_count,
         components={
             comp: _score_component(
-                table.rows[comp], table.class_keys[comp], selected, picked, group,
-                method, pred_count,
-            )
+                table.rows[comp], table.class_keys[comp], ranking, splits, method, pred_count)
             for comp in config.components
         },
     )

@@ -457,6 +457,21 @@ def test_compare_pipeline_form(gt_dir, tmp_path, capsys):
     assert set(doc["wilcoxon"]) == {"W", "n_effective", "p_value", "method"}
 
 
+def test_compare_checks_partition_before_reading_predictions(gt_dir, tmp_path, capsys):
+    # 20 subsets of 1000 frames cannot come from 6 frames; that is the
+    # error, not the prediction file that does not exist
+    preds_b = _write_perfect_preds(gt_dir, tmp_path / "b.json")
+    code = main([
+        "compare", "--gt", str(gt_dir),
+        "--preds-a", str(tmp_path / "missing.json"), "--preds-b", str(preds_b),
+        "--mode", "seg", "--n-subsets", "20", "--subset-size", "1000",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == "error: need 20000 frames for 20 subsets of 1000, have 6"
+
+
 def test_compare_matches_each_method_once(gt_dir, tmp_path, capsys, monkeypatch):
     from tripletseg import evaluation
 

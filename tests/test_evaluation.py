@@ -466,6 +466,26 @@ def test_per_video_averaging_hand_case(schema):
     assert per_video.components["ivt"].per_class[tid] == pytest.approx(50.0)
 
 
+@pytest.mark.parametrize("mode", ["seg", "det"])
+def test_unknown_frame_prediction_joins_its_video_ranking(schema, mode, caplog):
+    tid = 0
+    frames = [_frame("va", 0, [(tid, _mask(0, 0))], schema),
+              _frame("vb", 0, [(tid, _mask(0, 0))], schema)]
+    preds = [
+        _det("va", 99, tid, 0.95, mask=_mask(0, 0)),  # frame 99 is not in the ground truth
+        _det("va", 0, tid, 0.9, mask=_mask(0, 0)),
+        _det("vb", 0, tid, 0.8, mask=_mask(0, 0)),
+        _det("vz", 5, tid, 0.99, mask=_mask(0, 0)),  # a video without ground truth
+    ]
+    with caplog.at_level("WARNING"):
+        table = match(frames, preds, EvalConfig(mode=mode, averaging="per_video"), schema)
+    # va ranks [FP, TP] over 1 GT: AP 1/2; vb ranks [TP]: AP 1; vz holds no GT
+    assert score(table).components["ivt"].per_class[tid] == 75.0
+    # a subset ranks only its own frames' rows, so the stray drops out
+    subset = score(table, frames={("va", 0), ("vb", 0)})
+    assert subset.components["ivt"].per_class[tid] == 100.0
+
+
 def test_eval_config_validation():
     with pytest.raises(EvaluationError):
         EvalConfig(mode="boxes")
@@ -767,6 +787,62 @@ def test_subset_of_full_table_equals_filtered_evaluation(schema, rng):
                 want = evaluate(sub_frames, sub_data, config, schema)
                 assert got == want, (mode, averaging)
                 assert got.to_json_dict() == want.to_json_dict()
+
+
+def _per_video_oracle(frames, preds, mode, components, schema):
+    """Per-video averaging from the oracle: each class AP is the mean over
+    the videos holding the class of the oracle run on that video's own
+    frames and predictions."""
+    aps = {comp: {} for comp in components}
+    for video in sorted({r.video_id for r in frames}):
+        result = oracle_grounded_eval([r for r in frames if r.video_id == video],
+                                      [p for p in preds if p.video_id == video],
+                                      mode, 0.5, components, schema)
+        for comp in components:
+            for key, ap in result[comp]["per_class"].items():
+                aps[comp].setdefault(key, []).append(ap)
+    return {comp: {key: sum(v) / len(v) for key, v in per_class.items()}
+            for comp, per_class in aps.items()}
+
+
+@pytest.mark.parametrize("mode", ["seg", "det"])
+def test_grounded_per_video_matches_oracle_with_ties(schema, rng, mode):
+    config = EvalConfig(mode=mode, averaging="per_video")
+    shared = 0  # classes averaged over more than one video
+    for _ in range(20):
+        # four micro problems joined into three videos, scores on a 0.1 grid
+        # so they tie, and copies of some predictions on frames absent from
+        # the ground truth; those score below every other prediction, where
+        # a false positive cannot change an AP, since the oracle drops them
+        frames, preds = [], []
+        for part in range(4):
+            part_frames, part_preds = micro_instance(rng, schema, with_bbox_only=mode == "det")
+            video = {v: f"{v}-{part % 3}" for v in ("vid0", "vid1")}
+            frames += [r._replace(video_id=video[r.video_id], frame_id=10 * part + r.frame_id)
+                       for r in part_frames]
+            preds += [d._replace(video_id=video[d.video_id], frame_id=10 * part + d.frame_id,
+                                 score=round(0.1 + 0.9 * d.score, 1)) for d in part_preds]
+        preds += [d._replace(frame_id=d.frame_id + 100, score=0.0) for d in preds[::4]]
+        frames.sort()
+        assert len({d.score for d in preds}) < len(preds)
+        keys = [(r.video_id, r.frame_id) for r in frames]
+        subset = {k for k in keys if rng.random() < 0.5} or {keys[0]}
+        table = match(frames, preds, config, schema)
+        for got, kept in ((evaluate(frames, preds, config, schema), set(keys)),
+                          (score(table, frames=subset), subset)):
+            want = _per_video_oracle([r for r in frames if (r.video_id, r.frame_id) in kept],
+                                     [d for d in preds if (d.video_id, d.frame_id) in kept],
+                                     mode, config.components, schema)
+            for comp in config.components:
+                assert got.components[comp].per_class.keys() == want[comp].keys()
+                for key, value in want[comp].items():
+                    assert got.components[comp].per_class[key] == pytest.approx(value, abs=1e-9)
+        videos_of = {}
+        for r in frames:
+            for g in r.instances:
+                videos_of.setdefault(g.triplet_id, set()).add(r.video_id)
+        shared += sum(len(videos) > 1 for videos in videos_of.values())
+    assert shared > 0
 
 
 # report shape
