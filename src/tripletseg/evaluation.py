@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Collection
-from itertools import compress, count, groupby, repeat
+from itertools import compress, count, repeat
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
@@ -181,19 +181,22 @@ def average_precision(
     scored and must be excluded before calling.
     """
     pairs = scored_flags.tolist() if hasattr(scored_flags, "tolist") else scored_flags
-    return _average_precision([s for s, _ in pairs], [tp for _, tp in pairs], gt_count, method)
+    return _average_precision([s for s, _ in pairs], [tp for _, tp in pairs],
+                              range(len(pairs)), gt_count, method)
 
 
 def _average_precision(
-    score: Sequence[float], tp: Sequence[bool], gt_count: int, method: str
+    score: Sequence[float], tp: Sequence[bool], rows: Sequence[int], gt_count: int,
+    method: str,
 ) -> float:
-    """``average_precision`` of a score column and its true-positive flags."""
+    """``average_precision`` of the rows ``rows`` of a score column and its
+    true-positive flags; ``rows`` must be ascending, so tied scores rank in
+    row order."""
     if method not in ("envelope", "step"):
         raise EvaluationError(f"unknown AP method {method!r}")
     if gt_count < 1:
         raise EvaluationError("average precision needs at least one GT item")
-    # a stable sort: tied scores keep input order
-    order = sorted(range(len(score)), key=score.__getitem__, reverse=True)
+    order = sorted(rows, key=score.__getitem__, reverse=True)  # stable
     # precision at each true positive's rank; recall rises by 1/gt_count there
     ranks = compress(count(1), map(tp.__getitem__, order))
     precision = [hit / rank for hit, rank in enumerate(ranks, 1)]
@@ -456,39 +459,30 @@ def match(
 
 
 def _score_component(
-    rows: ClassRows, keys: tuple[ComponentKey, ...], ranking: list[int] | None,
+    rows: ClassRows, keys: tuple[ComponentKey, ...], ranking: list[int],
     splits: dict[int, dict[int, list[int]]], method: str, pred_count: int,
 ) -> ComponentResult:
     """Every class AP of one component. ``ranking`` gives each frame's
-    ranking, -1 if left out, or is None to rank all rows together; ``splits``
-    caches each frame column's row indices per ranking. A ranking keeps row
-    order, so it ties exactly as in the frame sequence. Sums are exactly
-    rounded, so no result depends on the order of classes or rankings."""
+    ranking, -1 if left out; ``splits`` caches each frame column's row
+    indices per ranking, in row order, so a ranking ties exactly as in the
+    frame sequence. A class AP is the mean over the rankings holding its GT.
+    Sums are exactly rounded, so no result depends on the order of classes
+    or rankings."""
     aps: dict[int, float] = {}
     gt_count = 0
     for k, (frame, score, tp, gt_frame) in enumerate(
             zip(rows.frame, rows.score, rows.tp, rows.gt_frame)):
-        if ranking is None:
-            gt_count += len(gt_frame)
-            if gt_frame:
-                aps[k] = _average_precision(score, tp, len(gt_frame), method) * 100.0
-            continue
         held = [r for r in map(ranking.__getitem__, gt_frame) if r >= 0]
         gt_count += len(held)
         if not held:
             continue
         split = splits.get(id(frame))
-        if split is None:  # row indices per ranking, gathered run by run
+        if split is None:
             split = splits[id(frame)] = {}
-            of_row = list(map(ranking.__getitem__, frame)).__getitem__
-            for r, run in groupby(range(len(frame)), of_row):
-                split.setdefault(r, []).extend(run)
-        ranked_aps = []
-        for r in dict.fromkeys(held):  # the rankings holding GT of the class
-            at = split.get(r, ())
-            ranked_aps.append(_average_precision(
-                list(map(score.__getitem__, at)), list(map(tp.__getitem__, at)),
-                held.count(r), method))
+            for i, f in enumerate(frame):
+                split.setdefault(ranking[f], []).append(i)
+        ranked_aps = [_average_precision(score, tp, split.get(r, ()), held.count(r), method)
+                      for r in dict.fromkeys(held)]
         aps[k] = math.fsum(ranked_aps) / len(ranked_aps) * 100.0
 
     return ComponentResult(
@@ -501,29 +495,31 @@ def _score_component(
 
 def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> EvalReport:
     """Stage 2: the report of a match table over all of its frames, or over
-    ``frames`` only, which must be ground-truth frames of the table.
-    Pooled averaging ranks each class over all selected rows; per-video
-    averaging ranks each video's rows apart, its prediction-only frames
-    included in a full evaluation. A subset restricts every ranking to its
-    frames. A class AP is the mean over the rankings holding its GT."""
+    ``frames`` only, which must be ground-truth frames of the table. Every
+    class is scored over rankings of its rows: pooled averaging puts all
+    selected rows in one ranking, per-video averaging ranks each video's
+    rows apart, its prediction-only frames included in a full evaluation,
+    and a subset leaves out the rows of every other frame. A class AP is the
+    mean over the rankings holding its GT."""
     config = table.config
     pred_count, frame_count = table.n_preds, sum(table.in_gt)
     # each frame's ranking: its video's ordinal per video, 0 pooled, -1 when
-    # a subset leaves it out; None while all rows form one ranking
+    # a subset leaves it out
     ordinal: dict[str, int] = {}
     ranking = ([ordinal.setdefault(vid, len(ordinal)) for vid, _ in table.frames]
-               if config.averaging == "per_video" else None)
+               if config.averaging == "per_video" else [0] * len(table.frames))
     if frames is not None:
         wanted = set(frames)
-        position = {k: i for i, k in enumerate(table.frames) if table.in_gt[i]}
-        missing = wanted - position.keys()
-        if missing:
+        pred_count = frame_count = 0
+        for f, (key, known, n) in enumerate(zip(table.frames, table.in_gt, table.frame_preds)):
+            if known and key in wanted:
+                pred_count += n
+                frame_count += 1
+            else:
+                ranking[f] = -1
+        if frame_count < len(wanted):
+            missing = wanted.difference(compress(table.frames, [r >= 0 for r in ranking]))
             raise EvaluationError(f"subset frames not in ground truth: {sorted(missing)[:5]}")
-        full, ranking = ranking, [-1] * len(table.frames)
-        for f in map(position.__getitem__, wanted):
-            ranking[f] = 0 if full is None else full[f]
-        pred_count = sum(table.frame_preds[position[k]] for k in wanted)
-        frame_count = len(wanted)
 
     method = config.resolved_ap_method
     splits: dict[int, dict[int, list[int]]] = {}  # rec classes share one frame column

@@ -53,7 +53,7 @@ class RleMask:
             raise MaskError(f"mask size {height}x{width} must be positive")
         if height * width >= 2**63:
             raise MaskError(f"mask size {height}x{width} overflows int64")
-        if not counts:
+        if len(counts) == 0:
             raise MaskError("empty counts")
         if len(counts) > 1 and counts[-1] == 0:
             raise MaskError("trailing zero count")
@@ -180,6 +180,8 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     if bitmap.ndim != 2:
         raise MaskError(f"expected 2-D array, got {bitmap.ndim}-D")
     h, w = bitmap.shape
+    if h < 1 or w < 1:
+        raise MaskError(f"mask size {h}x{w} must be positive")
     flat = np.asarray(bitmap, dtype=bool).reshape(-1, order="F")
     # change points: indices where the value differs from its predecessor
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1

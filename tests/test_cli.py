@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tripletseg
+from oracles import brute_wilcoxon_one_sided
 from synth import rect_rle
 from tripletseg.cli import main
 from tripletseg.dataset_io import (
@@ -455,6 +456,45 @@ def test_compare_pipeline_form(gt_dir, tmp_path, capsys):
     assert len(doc["per_subset"]) == 3
     assert all(row["a"] >= row["b"] for row in doc["per_subset"])
     assert set(doc["wilcoxon"]) == {"W", "n_effective", "p_value", "method"}
+
+
+def test_compare_swapping_methods_swaps_every_pair(gt_dir, tmp_path, capsys):
+    # each frame's one GT instance is found behind k false positives of its
+    # class, so its AP is 100/(k+1); A and B win on different frames and by
+    # different margins, some of them tied
+    def write(path, false_positives):
+        docs = [{**doc, "score": 0.5}
+                for doc in json.loads(_write_perfect_preds(gt_dir, path).read_text())]
+        fp_mask = _mask(12, 12).to_json_dict()
+        for doc, k in zip(list(docs), false_positives):
+            docs += [{**doc, "score": 0.9, "mask": fp_mask}] * k
+        path.write_text(json.dumps(docs))
+        return path
+
+    preds = {"a": write(tmp_path / "a.json", [0, 1, 2, 0, 3, 1]),
+             "b": write(tmp_path / "b.json", [1, 0, 0, 2, 1, 4])}
+    docs = {}
+    for first, second in (("a", "b"), ("b", "a")):
+        out_file = tmp_path / f"cmp_{first}{second}.json"
+        code = main([
+            "compare", "--gt", str(gt_dir),
+            "--preds-a", str(preds[first]), "--preds-b", str(preds[second]),
+            "--mode", "seg", "--n-subsets", "6", "--subset-size", "1", "--seed", "3",
+            "--out", str(out_file),
+        ])
+        assert code == 0
+        docs[first] = json.loads(out_file.read_text())
+    capsys.readouterr()
+    ab, ba = docs["a"], docs["b"]
+    assert ba["per_subset"] == [{"a": r["b"], "b": r["a"]} for r in ab["per_subset"]]
+    n = ab["wilcoxon"]["n_effective"]
+    assert n == ba["wilcoxon"]["n_effective"] == 6
+    assert ab["wilcoxon"]["W"] + ba["wilcoxon"]["W"] == n * (n + 1) / 2
+    for doc in (ab, ba):
+        a, b = zip(*((r["a"], r["b"]) for r in doc["per_subset"]))
+        w, n_effective, p = brute_wilcoxon_one_sided(a, b)
+        assert (doc["wilcoxon"]["W"], doc["wilcoxon"]["n_effective"]) == (w, n_effective)
+        assert doc["wilcoxon"]["p_value"] == pytest.approx(p, abs=1e-12)
 
 
 def test_compare_checks_partition_before_reading_predictions(gt_dir, tmp_path, capsys):

@@ -312,20 +312,26 @@ def test_monotone_in_iou_threshold(schema, rng):
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_score_scale_invariance(schema, rng):
-    frames, preds = micro_instance(rng, schema)
-    scaled = [
-        DetectionRecord(
-            video_id=p.video_id, frame_id=p.frame_id, triplet_id=p.triplet_id,
-            score=p.score * 0.25, mask=p.mask, bbox=p.bbox,
-        )
-        for p in preds
-    ]
-    config = EvalConfig(mode="seg")
-    a = evaluate_grounded(frames, preds, config, schema)
-    b = evaluate_grounded(frames, scaled, config, schema)
-    for comp in a.components:
-        assert a.components[comp].per_class == b.components[comp].per_class
+@pytest.mark.parametrize("averaging", ["pooled", "per_video"])
+@pytest.mark.parametrize("mode", ["seg", "det", "rec"])
+def test_score_scale_invariance(schema, mode, averaging):
+    # AP reads only the order of scores: squaring scores on a k/64 grid keeps
+    # 0 at 0 (the score of a frame without a rec record), keeps every tie and
+    # keeps distinct scores distinct, so every byte of the report stays
+    config = EvalConfig(mode=mode, averaging=averaging)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        frames, preds, rec = _many_videos(rng, schema, n_parts=4)
+        if mode == "rec":
+            data = [r._replace(scores=tuple((rng.integers(0, 65, len(r.scores)) / 64).tolist()))
+                    for r in rec if rng.random() < 0.8]
+            squared = [r._replace(scores=tuple(s * s for s in r.scores)) for r in data]
+        else:
+            data = [p._replace(score=int(rng.integers(0, 65)) / 64) for p in preds]
+            squared = [p._replace(score=p.score * p.score) for p in data]
+        a = evaluate(frames, data, config, schema)
+        b = evaluate(frames, squared, config, schema)
+        assert json.dumps(b.to_json_dict()) == json.dumps(a.to_json_dict()), seed
 
 
 def test_seg_mode_requires_masks(schema):
@@ -705,13 +711,25 @@ def test_recognition_class_columns_are_member_maxima(problem, components):
 # subset scoring
 
 
-def test_subset_equal_to_full(schema, rng):
-    frames, preds = micro_instance(rng, schema)
-    config = EvalConfig(mode="seg")
-    full = evaluate_grounded(frames, preds, config, schema)
-    table = match(frames, preds, config, schema)
-    subset = score(table, frames={(r.video_id, r.frame_id) for r in frames})
-    assert full == subset
+@pytest.mark.parametrize("averaging", ["pooled", "per_video"])
+@pytest.mark.parametrize("mode", ["seg", "det", "rec"])
+def test_subset_equal_to_full(schema, mode, averaging):
+    # with no predictions on unknown frames, the subset of every GT frame
+    # selects every row; scores on a 1/8 grid tie, and ties must break alike
+    config = EvalConfig(mode=mode, averaging=averaging)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        frames, preds, rec = _many_videos(rng, schema, n_parts=3)
+        if mode == "rec":
+            data = [r._replace(scores=tuple((rng.integers(0, 9, len(r.scores)) / 8).tolist()))
+                    for r in rec if rng.random() < 0.8]
+        else:
+            data = [p._replace(score=int(rng.integers(0, 9)) / 8) for p in preds]
+        table = match(frames, data, config, schema)
+        full = score(table)
+        subset = score(table, frames={(r.video_id, r.frame_id) for r in frames})
+        assert subset == full, seed
+        assert json.dumps(subset.to_json_dict()) == json.dumps(full.to_json_dict()), seed
 
 
 def test_disjoint_subsets_partition_gt_count(schema, rng):

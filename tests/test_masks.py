@@ -86,6 +86,7 @@ def test_mask_value_contract():
         RleMask(height=2, width=3, counts=(np.int64(1), np.int32(2), np.uint8(3))),
         RleMask.from_json_dict({"size": [2, 3], "counts": [1, 2, 3]}),
         RleMask(height=2, width=3, counts=ref.counts),
+        RleMask(height=2, width=3, counts=np.array([1, 2, 3])),
     ]
     for m in same:
         assert m == ref and hash(m) == hash(ref)
@@ -139,11 +140,29 @@ def test_full_2_62_pixel_mask_packs():
         ((2**63, 3), r"^counts sum 9223372036854775811 != 2\*2 pixels$"),
         ((1, 2**64), r"^counts sum 18446744073709551617 != 2\*2 pixels$"),
         ((1, -2**64), r"^counts\[1\] is negative$"),
+        # numpy arrays are sized by length, not by truth value
+        (np.array([], dtype=np.int64), "^empty counts$"),
+        (np.array([0]), r"^counts sum 0 != 2\*2 pixels$"),
+        (np.array([3, 1, 0]), "trailing zero"),
     ],
 )
 def test_invalid_counts_rejected(counts, message):
     with pytest.raises(MaskError, match=message):
         RleMask(height=2, width=2, counts=counts)
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [
+        ((4,), r"^expected 2-D array, got 1-D$"),
+        ((0, 3), r"^mask size 0x3 must be positive$"),
+        ((3, 0), r"^mask size 3x0 must be positive$"),
+        ((0, 0), r"^mask size 0x0 must be positive$"),
+    ],
+)
+def test_rle_encode_rejects_bad_shapes(shape, message):
+    with pytest.raises(MaskError, match=message):
+        rle_encode(np.zeros(shape, dtype=bool))
 
 
 def test_from_json_dict_validation():
