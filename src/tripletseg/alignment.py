@@ -57,12 +57,7 @@ class AmbiguityEntry(NamedTuple):
     detail: str
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "video_id": self.video_id,
-            "frame_id": self.frame_id,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 class AmbiguityReport(NamedTuple):
@@ -255,11 +250,7 @@ def alignment_stats(
     """
     counts = report.counts()
     assigned = sum(g.triplet_id is not None for r in frames for g in r.instances)
-    blocked = (
-        counts["MultiInstanceOneTriplet"]
-        + counts["MultiTripletOneInstance"]
-        + counts["TripletWithoutInstance"]
-    )
+    blocked = sum(counts[kind] for kind in AMBIGUITY_KINDS[:3])  # the label-side kinds
     total = assigned + blocked
     return {
         "assigned": assigned,

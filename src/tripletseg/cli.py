@@ -69,6 +69,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     from . import alignment
+    # realpath, unlike Path.resolve before Python 3.13, raises no error on a symlink loop
+    if os.path.realpath(args.out) == os.path.realpath(args.masks):
+        raise TripletSegError(f"--out {args.out} is the --masks directory, which align reads")
     schema = load_schema(args.schema)
     labels = alignment.read_label_stream(args.labels)
     masks = alignment.read_mask_stream(args.masks, schema)
@@ -76,6 +79,12 @@ def _cmd_align(args: argparse.Namespace) -> int:
     written = dataset_io.write_ground_truth(frames, args.out)
     if args.report:
         _write_json(args.report, [e.to_json_dict() for e in report.entries])
+    # validate, stats, eval and compare read every *.json in the directory
+    stale = sorted({p.name for p in Path(args.out).glob("*.json")} - {p.name for p in written})
+    if stale:
+        log.warning("%s holds %d *.json file(s) besides this run's ground truth, which "
+                    "later commands read as videos: %s%s", args.out, len(stale),
+                    ", ".join(stale[:5]), ", ..." if len(stale) > 5 else "")
     summary = alignment.alignment_stats(report, frames)
     print(
         f"aligned {len(frames)} frames into {len(written)} video files "

@@ -24,6 +24,12 @@ from .schema import TripletSchema
 _DECODER = json.JSONDecoder()
 # an array's punctuation with the whitespace JSON allows around it
 _OPEN, _COMMA, _CLOSE = (re.compile(rf"[ \t\n\r]*{p}[ \t\n\r]*") for p in (r"\[", ",", r"\]"))
+# json.dumps(indent=2) runs in pure Python, so the writer builds that layout
+# itself from a line break plus the indent of each nesting depth, the array
+# item separator at that depth, and the C encoder for the long count lists
+_NL = ["\n" + "  " * depth for depth in range(8)]
+_SEP = ["," + nl for nl in _NL]
+_encode_counts = json.JSONEncoder(separators=(_SEP[7], ": ")).encode
 
 
 class GroundedInstance(NamedTuple):
@@ -336,12 +342,30 @@ def read_ground_truth(gt_dir: str | Path, schema: TripletSchema) -> list[FrameRe
     return frames
 
 
+def _array(items: list[str], depth: int) -> str:
+    """Encoded items as ``json.dumps(indent=2)`` lays out an array at ``depth``."""
+    return f"[{_NL[depth + 1]}{_SEP[depth + 1].join(items)}{_NL[depth]}]" if items else "[]"
+
+
+def _instances_text(instances: tuple[GroundedInstance, ...]) -> str:
+    n5, n6, n7 = _NL[5:]
+    return _array([
+        f'{{{n5}"instance_id": {g.instance_id},{n5}"instrument_id": {g.instrument_id},'
+        f'{n5}"triplet_id": {"null" if g.triplet_id is None else g.triplet_id},'
+        f'{n5}"flags": {_array(list(map(json.dumps, sorted(g.flags))), 5)},'
+        f'{n5}"mask": {{{n6}"size": [{n7}{g.mask.height},{n7}{g.mask.width}{n6}],'
+        f'{n6}"counts": [{n7}{_encode_counts(g.mask.counts.tolist())[1:-1]}{n6}]{n5}}}{_NL[4]}}}'
+        for g in sorted(instances, key=lambda g: g.instance_id)
+    ], 3)
+
+
 def write_ground_truth(frames: list[FrameRecord], out_dir: str | Path) -> list[Path]:
     """Write frames back into canonical per-video JSON files.
 
-    Canonical means fixed key order, sorted frames, instances, flags and
-    frame_triplets, two-space indentation. Reading a canonical file and
-    writing it again reproduces it byte for byte.
+    Canonical is the layout of ``json.dumps(doc, indent=2)`` with one mask
+    count per line and a final newline: fixed key order; sorted frames,
+    instances, flags and frame_triplets; strings ASCII-escaped. Reading a
+    canonical file and writing it again reproduces it byte for byte.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,47 +373,23 @@ def write_ground_truth(frames: list[FrameRecord], out_dir: str | Path) -> list[P
     for rec in frames:
         by_video.setdefault(rec.video_id, []).append(rec)
     written = []
+    n1, n2, n3 = _NL[1:4]
     for video_id in sorted(by_video):
         recs = sorted(by_video[video_id], key=lambda r: r.frame_id)
-        sizes = {(r.width, r.height) for r in recs}
-        if len(sizes) != 1:
-            raise DatasetError(
-                f"video {video_id}: inconsistent frame sizes {sorted(sizes)}"
-            )
-        width, height = recs[0].width, recs[0].height
-        instances = [sorted(r.instances, key=lambda g: g.instance_id) for r in recs]
-        doc = {
-            "video_id": video_id,
-            "width": width,
-            "height": height,
-            "frames": [
-                {
-                    "frame_id": r.frame_id,
-                    "frame_triplets": sorted(r.frame_triplets),
-                    "instances": [
-                        {
-                            "instance_id": g.instance_id,
-                            "instrument_id": g.instrument_id,
-                            "triplet_id": g.triplet_id,
-                            "flags": sorted(g.flags),
-                            "mask": {"size": [g.mask.height, g.mask.width], "counts": []},
-                        }
-                        for g in insts
-                    ],
-                }
-                for r, insts in zip(recs, instances)
-            ],
-        }
-        # the indenting encoder is slow on long lists, so counts are spliced in
-        # as it lays them out; an encoded string escapes the slot's quotes
-        parts = json.dumps(doc, indent=2).split('"counts": []')
-        sep = ",\n" + " " * 14
-        text = parts[0] + "".join(
-            f'"counts": [\n{" " * 14}{sep.join(map(str, g.mask.counts))}\n{" " * 12}]{part}'
-            for g, part in zip([g for insts in instances for g in insts], parts[1:])
-        )
+        if len(sizes := {(r.width, r.height) for r in recs}) != 1:
+            raise DatasetError(f"video {video_id}: inconsistent frame sizes {sorted(sizes)}")
+        frames_text = _array([
+            f'{{{n3}"frame_id": {r.frame_id},'
+            f'{n3}"frame_triplets": {_array(list(map(str, sorted(r.frame_triplets))), 3)},'
+            f'{n3}"instances": {_instances_text(r.instances)}{n2}}}'
+            for r in recs
+        ], 1)
         path = out_dir / f"{video_id}.json"
-        path.write_text(text + "\n", encoding="utf-8")
+        path.write_text(
+            f'{{{n1}"video_id": {json.dumps(video_id)},{n1}"width": {recs[0].width},'
+            f'{n1}"height": {recs[0].height},{n1}"frames": {frames_text}\n}}\n',
+            encoding="utf-8",
+        )
         written.append(path)
     return written
 

@@ -249,8 +249,8 @@ def test_stats_command(gt_dir, tmp_path, capsys):
     assert set(doc["per_video"]) == {"vid01", "vid02"}
 
 
-def test_align_round_trip(gt_dir, tmp_path, capsys, schema):
-    # strip assignments out of a GT copy to form a mask stream, then align
+def _mask_stream(gt_dir, tmp_path):
+    """A label CSV and a mask-stream directory made from a GT directory."""
     masks_dir = tmp_path / "masks"
     masks_dir.mkdir()
     labels_file = tmp_path / "labels.csv"
@@ -265,6 +265,12 @@ def test_align_round_trip(gt_dir, tmp_path, capsys, schema):
                 for inst in frame["instances"]:
                     del inst["triplet_id"]
             (masks_dir / video_file.name).write_text(json.dumps(doc))
+    return labels_file, masks_dir
+
+
+def test_align_round_trip(gt_dir, tmp_path, capsys, schema):
+    # strip assignments out of a GT copy to form a mask stream, then align
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
     out_dir = tmp_path / "aligned"
     report_file = tmp_path / "ambiguities.json"
     code = main(["align", "--labels", str(labels_file),
@@ -281,6 +287,60 @@ def test_align_round_trip(gt_dir, tmp_path, capsys, schema):
     assert main(["eval", "--gt", str(out_dir), "--preds", str(preds),
                  "--mode", "seg"]) == 0
     capsys.readouterr()
+
+
+def test_align_refuses_to_write_into_its_mask_stream(gt_dir, tmp_path, capsys):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    before = {p.name: p.read_bytes() for p in masks_dir.iterdir()}
+    for out in (str(masks_dir), f"{masks_dir}/", str(tmp_path / "x" / ".." / "masks")):
+        code = main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                     "--out", out, "--report", str(tmp_path / "amb.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "is the --masks directory" in err[0]
+        assert {p.name: p.read_bytes() for p in masks_dir.iterdir()} == before
+        assert not (tmp_path / "amb.json").exists()
+    # the check comes before any input is read: a missing label file is not reached
+    assert main(["align", "--labels", str(tmp_path / "none.csv"), "--masks", str(masks_dir),
+                 "--out", str(masks_dir)]) == 1
+    assert "is the --masks directory" in capsys.readouterr().err
+    # an --out that cannot be resolved is still an I/O error, not a crash
+    (tmp_path / "loop_a").symlink_to(tmp_path / "loop_b")
+    (tmp_path / "loop_b").symlink_to(tmp_path / "loop_a")
+    assert main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                 "--out", str(tmp_path / "loop_a")]) == 2
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
+def test_align_warns_of_stale_json_in_out(gt_dir, tmp_path, capsys, caplog):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    clean, used = tmp_path / "clean", tmp_path / "used"
+
+    def align(out, *extra):
+        caplog.clear()
+        code = main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                     "--out", str(out), *extra])
+        capsys.readouterr()
+        return code, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+    assert align(clean) == (0, [])
+    assert align(clean) == (0, [])  # a rerun rewrites the same names
+    used.mkdir()
+    for name in ("old1.json", "old2.json", "vid01.json", "notes.txt"):
+        (used / name).write_text("{}")
+    code, warnings = align(used, "--report", str(used / "report.json"))
+    assert code == 0
+    assert len(warnings) == 1
+    assert "3 *.json file(s)" in warnings[0]
+    assert warnings[0].endswith(": old1.json, old2.json, report.json")
+    for path in clean.iterdir():
+        assert (used / path.name).read_bytes() == path.read_bytes()
+    for k in range(4):
+        (used / f"extra{k}.json").write_text("{}")
+    _, warnings = align(used)
+    assert "7 *.json file(s)" in warnings[0]
+    assert warnings[0].endswith(
+        ": extra0.json, extra1.json, extra2.json, extra3.json, old1.json, ...")
 
 
 def test_align_reports_ambiguities(tmp_path, capsys, schema):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synth import micro_instance, rect_rle
 from tripletseg.dataset_io import (
@@ -161,8 +165,34 @@ def test_write_read_round_trip_byte_stable(tmp_path, gt_dir, schema):
         assert path1.read_bytes() == path2.read_bytes()
 
 
+def _reference_texts(frames):
+    """Each video's file name and the text ``json.dumps(indent=2)`` gives
+    for its canonical document: the writer's byte-for-byte reference."""
+    texts = {}
+    for video_id in sorted({r.video_id for r in frames}):
+        recs = sorted((r for r in frames if r.video_id == video_id), key=lambda r: r.frame_id)
+        doc = {
+            "video_id": video_id,
+            "width": recs[0].width,
+            "height": recs[0].height,
+            "frames": [{
+                "frame_id": r.frame_id,
+                "frame_triplets": sorted(r.frame_triplets),
+                "instances": [{
+                    "instance_id": g.instance_id,
+                    "instrument_id": g.instrument_id,
+                    "triplet_id": g.triplet_id,
+                    "flags": sorted(g.flags),
+                    "mask": g.mask.to_json_dict(),
+                } for g in sorted(r.instances, key=lambda g: g.instance_id)],
+            } for r in recs],
+        }
+        texts[f"{video_id}.json"] = json.dumps(doc, indent=2) + "\n"
+    return texts
+
+
 def test_writer_matches_reference_encoder(tmp_path):
-    # the writer splices count lists into json.dumps output; the plain
+    # the writer lays out json.dumps(indent=2)'s layout itself; the plain
     # encoder over the whole document is the reference
     flags = frozenset({'say "hi"', "back\\slash", "naïve 胆囊", "nul\x00",
                        '"counts": ', '"counts": []'})
@@ -182,26 +212,86 @@ def test_writer_matches_reference_encoder(tmp_path):
     ]
     written = write_ground_truth(frames, tmp_path)
     assert [p.name for p in written] == ['vid "é".json', "vid01.json"]
+    reference = _reference_texts(frames)
     for path in written:
-        recs = sorted((r for r in frames if f"{r.video_id}.json" == path.name),
-                      key=lambda r: r.frame_id)
-        doc = {
-            "video_id": recs[0].video_id,
-            "width": 4,
-            "height": 3,
-            "frames": [{
-                "frame_id": r.frame_id,
-                "frame_triplets": sorted(r.frame_triplets),
-                "instances": [{
-                    "instance_id": g.instance_id,
-                    "instrument_id": g.instrument_id,
-                    "triplet_id": g.triplet_id,
-                    "flags": sorted(g.flags),
-                    "mask": g.mask.to_json_dict(),
-                } for g in sorted(r.instances, key=lambda g: g.instance_id)],
-            } for r in recs],
-        }
-        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        assert path.read_bytes() == reference[path.name].encode()
+
+
+def _runs(bits):
+    """Column-major counts of a flat mask: background first, so a mask
+    that starts with foreground leads with 0 and an empty one is one count."""
+    counts, value, run = [], False, 0
+    for bit in bits:
+        if bit != value:
+            counts.append(run)
+            value, run = bit, 0
+        run += 1
+    return [*counts, run]
+
+
+# quotes, backslashes, control characters, non-ASCII text, lone surrogates
+_FLAG_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t é胆\u2028\U0001f600'),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.characters(),
+)
+
+
+@st.composite
+def _instance(draw, instance_id, height, width):
+    bits = draw(st.lists(st.booleans(), min_size=height * width, max_size=height * width))
+    return GroundedInstance(
+        instance_id=instance_id,
+        instrument_id=draw(st.integers(0, 5)),
+        triplet_id=draw(st.none() | st.integers(0, 99)),
+        mask=RleMask(height=height, width=width, counts=_runs(bits)),
+        flags=draw(st.frozensets(st.text(_FLAG_CHARS, max_size=4), max_size=3)),
+    )
+
+
+@st.composite
+def _videos(draw):
+    """Frames of up to three videos, in a drawn order, with frames and
+    instances unsorted."""
+    frames = []
+    for video_id in draw(st.lists(st.sampled_from(["vid01", "v2", 'q "é"', "b\\s"]),
+                                  min_size=1, max_size=3, unique=True)):
+        height, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        for frame_id in draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True)):
+            ids = draw(st.lists(st.integers(0, 9), max_size=3, unique=True))
+            frames.append(FrameRecord(
+                video_id=video_id, frame_id=frame_id, width=width, height=height,
+                instances=tuple(draw(_instance(i, height, width)) for i in ids),
+                frame_triplets=tuple(draw(st.lists(st.integers(0, 99), max_size=4))),
+            ))
+    return draw(st.permutations(frames))
+
+
+def _instance_with(**fields):
+    fields = {"instrument_id": 0, "triplet_id": None, **fields}
+    return GroundedInstance(**fields)
+
+
+@given(frames=_videos())
+@example(frames=[  # one of each case the writer must lay out as json.dumps does
+    FrameRecord("v2", 9, 1, 1, (), (3, 1, 3)),
+    FrameRecord("vid01", 4, 3, 2, (
+        _instance_with(instance_id=5, triplet_id=17, mask=RleMask(2, 3, (0, 2, 4)),
+                       flags=frozenset({'q"', "b\\", "c\x01", "é胆", "\ud800", "z\udfff"})),
+        _instance_with(instance_id=2, mask=RleMask(2, 3, (6,))),
+    ), ()),
+    FrameRecord("vid01", 1, 3, 2, (), (40,)),
+    FrameRecord("v2", 0, 1, 1, (_instance_with(instance_id=0, mask=RleMask(1, 1, (0, 1))),), ()),
+])
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_writer_output_is_json_dumps_indent2(frames):
+    reference = _reference_texts(frames)
+    with tempfile.TemporaryDirectory() as tmp:
+        written = write_ground_truth(frames, tmp)
+        assert [p.name for p in written] == list(reference)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == sorted(reference)
+        for path in written:
+            assert path.read_bytes() == reference[path.name].encode()
 
 
 def test_read_predictions_seg(tmp_path, schema):
