@@ -70,8 +70,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_align(args: argparse.Namespace) -> int:
     from . import alignment
     # realpath, unlike Path.resolve before Python 3.13, raises no error on a symlink loop
-    if os.path.realpath(args.out) == os.path.realpath(args.masks):
+    masks_dir, out_dir = os.path.realpath(args.masks), os.path.realpath(args.out)
+    if out_dir == masks_dir:
         raise TripletSegError(f"--out {args.out} is the --masks directory, which align reads")
+    report = os.path.realpath(args.report) if args.report else ""
+    if report.endswith(".json") and os.path.dirname(report) in (masks_dir, out_dir):
+        raise TripletSegError(f"--report {args.report} is a *.json file in --masks or --out, "
+                              "which later commands read as a video")
     schema = load_schema(args.schema)
     labels = alignment.read_label_stream(args.labels)
     masks = alignment.read_mask_stream(args.masks, schema)
@@ -170,15 +175,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # the partition needs only the ground truth: check it before reading predictions
         frame_keys = [(r.video_id, r.frame_id) for r in frames]
         partition = stats.partition_frames(frame_keys, args.n_subsets, args.subset_size, args.seed)
-        preds_a = dataset_io.read_predictions(args.preds_a, args.mode, schema)
-        preds_b = dataset_io.read_predictions(args.preds_b, args.mode, schema)
-        # match each method once, on the frames the subsets cover, then
-        # score every subset from its table
+        # keep only what lies on frames a subset scores, as soon as each file
+        # is read (and checked whole), so A's other records go before B is read
         used = {key for subset in partition.subsets for key in subset}
-        tables = [
-            evaluation.match(frames, preds, config, schema, frames=used)
-            for preds in (preds_a, preds_b)
-        ]
+        frames = [r for r in frames if (r.video_id, r.frame_id) in used]
+        preds_a, preds_b = ([p for p in dataset_io.read_predictions(path, args.mode, schema)
+                             if (p.video_id, p.frame_id) in used]
+                            for path in (args.preds_a, args.preds_b))
+        # match each method once, then score every subset from its table
+        tables = [evaluation.match(frames, preds, config, schema) for preds in (preds_a, preds_b)]
         values_a, values_b = (
             [evaluation.score(t, s).components[component].mAP for s in partition.subsets]
             for t in tables

@@ -443,14 +443,8 @@ def match(
     preds: Sequence[DetectionRecord] | Sequence[RecognitionRecord],
     config: EvalConfig,
     schema: TripletSchema,
-    frames: Collection[FrameKey] | None = None,
 ) -> MatchTable:
-    """Stage 1: match predictions to ground truth in the config's mode.
-    With ``frames`` given, only those frames are matched."""
-    if frames is not None:
-        wanted = set(frames)
-        gt_frames = [r for r in gt_frames if (r.video_id, r.frame_id) in wanted]
-        preds = [p for p in preds if (p.video_id, p.frame_id) in wanted]
+    """Stage 1: match predictions to ground truth in the config's mode."""
     if len({(r.video_id, r.frame_id) for r in gt_frames}) != len(gt_frames):
         raise EvaluationError("duplicate (video_id, frame_id) in ground truth")
     if config.mode == "rec":

@@ -12,9 +12,10 @@ that purpose. Counts are checked and boxes computed in plain Python. Only
 ``pair_intersections``, ``_run_table``, ``foreground_intervals``,
 ``rle_decode`` and ``rle_encode`` load numpy.
 
-A validated mask stores its counts packed as one ``array('q')``, 8 bytes
-per count. Every reader sees plain Python ints; numpy reads the buffer
-directly.
+A validated mask packs its counts into one ``array('I')``, 4 bytes per
+count as in COCO's mask API, or into an ``array('q')`` once its frame has
+2**32 pixels. Every reader sees plain Python ints; numpy reads the buffer
+directly, in the array's dtype, and sums in int64.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ if TYPE_CHECKING:
 
 
 @lru_cache(maxsize=1024)
-def _packer(n: int) -> Callable[..., bytes]:
-    """Packs n non-negative ints below 2**64 into native unsigned 64-bit words.
-    Kept per count length: building the format per mask costs small masks more
-    than their checks."""
-    return struct.Struct(f"{n}Q").pack
+def _packer(n: int, code: str) -> Callable[..., bytes]:
+    """Packs n non-negative ints into native unsigned words of struct ``code``,
+    ``I`` (below 2**32) or ``Q`` (below 2**64). Kept per count length: building
+    the format per mask costs small masks more than their checks."""
+    return struct.Struct(f"{n}{code}").pack
 
 
 class RleMask:
     """Validated run-length mask over an ``height x width`` grid. ``counts``
-    may be any sequence of integers; it is stored as an ``array('q')``.
-    Masks are immutable and compare and hash by value."""
+    may be any sequence of integers, stored as an ``array('I')``, or from 2**32
+    pixels on an ``array('q')``. Masks are immutable and compare and hash by value."""
 
     __slots__ = ("height", "width", "counts", "_area")
 
@@ -59,11 +60,12 @@ class RleMask:
             raise MaskError("trailing zero count")
         # C builtins pass plain int counts with no zero after the first, and
         # packing them unsigned rejects a negative one; the loop checks the rest
-        # (numpy ints are Integral) and names a bad index
+        # (numpy ints are Integral) and names a bad index; a too wide count fails the sum
+        code = "I" if height * width < 2**32 else "Q"
         packed = None
         if set(map(type, counts)) <= {int} and 0 not in counts[1:]:
             try:
-                packed = _packer(len(counts))(*counts)
+                packed = _packer(len(counts), code)(*counts)
             except struct.error:
                 pass
         if packed is None:
@@ -79,12 +81,12 @@ class RleMask:
         total = sum(counts)
         if total != height * width:
             raise MaskError(f"counts sum {total} != {height}*{width} pixels")
-        # the sum bounds every count below 2**63, so unsigned bytes are int64
-        # bytes; an array built from bytes keeps 1/16 spare, its slice does not
-        packed = packed or _packer(len(counts))(*counts)
+        # the sum bounds every count by the pixels, so 8-byte unsigned words are
+        # int64 words; an array built from bytes keeps 1/16 spare, its slice does not
+        packed = packed or _packer(len(counts), code)(*counts)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "counts", array("q", packed)[:])
+        object.__setattr__(self, "counts", array("I" if code == "I" else "q", packed)[:])
 
     def __setattr__(self, name: str, value: Any = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -167,7 +169,7 @@ class BBox(_BoxFields):
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Expand to a dense ``(height, width)`` bool array."""
     import numpy as np
-    counts = np.frombuffer(mask.counts, dtype=np.int64)
+    counts = np.frombuffer(mask.counts, dtype=mask.counts.typecode)
     values = np.zeros(len(counts), dtype=bool)
     values[1::2] = True
     flat = np.repeat(values, counts)
@@ -220,8 +222,12 @@ def _run_table(masks: Sequence[RleMask]) -> tuple[np.ndarray, ...]:
     per run, in mask then position order; ``first`` run and run count ``n`` per mask."""
     import numpy as np
     lengths = np.array([len(m.counts) for m in masks], dtype=np.int64)
-    # one writable copy of the packed counts, since first counts change below
-    counts = np.frombuffer(bytearray().join(m.counts for m in masks), dtype=np.int64)
+    # one int64 copy of the packed counts, since first counts change below; a
+    # batch of mixed widths widens its 4-byte arrays
+    code = "q" if any(m.counts.typecode == "q" for m in masks) else "I"
+    packed = bytearray().join(m.counts if m.counts.typecode == code else array(code, m.counts)
+                              for m in masks)
+    counts = np.frombuffer(packed, dtype=code).astype(np.int64, copy=False)
     heads = np.cumsum(lengths) - lengths
     # taking the previous mask's pixels off a first count restarts the sum
     counts[heads[1:]] -= np.array([m.height * m.width for m in masks[:-1]], dtype=np.int64)

@@ -312,6 +312,45 @@ def test_align_refuses_to_write_into_its_mask_stream(gt_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error")
 
 
+def test_align_refuses_a_report_among_the_videos(gt_dir, tmp_path, capsys):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    out_dir = tmp_path / "aligned"
+    assert main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    before = {d: {p.name: p.read_bytes() for p in d.iterdir()} for d in (masks_dir, out_dir)}
+    (tmp_path / "link").symlink_to(out_dir)
+    for report in (masks_dir / "amb.json", out_dir / "vid01.json", out_dir / "new.json",
+                   tmp_path / "x" / ".." / "masks" / "amb.json", tmp_path / "link" / "r.json"):
+        # the check comes before any input is read: a missing label file is not reached
+        for labels in (labels_file, tmp_path / "none.csv"):
+            code = main(["align", "--labels", str(labels), "--masks", str(masks_dir),
+                         "--out", str(out_dir), "--report", str(report)])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: --report {report} is a *.json file in --masks or --out, "
+                           "which later commands read as a video"]
+            assert {d: {p.name: p.read_bytes() for p in d.iterdir()} for d in before} == before
+    # the mask stream still aligns and the ground truth still validates
+    assert main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert main(["validate", "--gt", str(out_dir)]) == 0
+    capsys.readouterr()
+
+
+def test_align_writes_a_report_beside_or_below_the_videos(gt_dir, tmp_path, capsys):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    out_dir = tmp_path / "aligned"
+    (out_dir / "sub").mkdir(parents=True)
+    for report in (tmp_path / "amb.json", out_dir / "amb.txt", out_dir / "sub" / "amb.json"):
+        assert main(["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+                     "--out", str(out_dir), "--report", str(report)]) == 0
+        assert json.loads(report.read_text()) == []
+    capsys.readouterr()
+    assert main(["validate", "--gt", str(out_dir)]) == 0
+    assert "2 files, 6 frames, 0 errors" in capsys.readouterr().out
+
+
 def test_align_warns_of_stale_json_in_out(gt_dir, tmp_path, capsys, caplog):
     labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
     clean, used = tmp_path / "clean", tmp_path / "used"
@@ -326,9 +365,9 @@ def test_align_warns_of_stale_json_in_out(gt_dir, tmp_path, capsys, caplog):
     assert align(clean) == (0, [])
     assert align(clean) == (0, [])  # a rerun rewrites the same names
     used.mkdir()
-    for name in ("old1.json", "old2.json", "vid01.json", "notes.txt"):
+    for name in ("old1.json", "old2.json", "report.json", "vid01.json", "notes.txt"):
         (used / name).write_text("{}")
-    code, warnings = align(used, "--report", str(used / "report.json"))
+    code, warnings = align(used, "--report", str(tmp_path / "report.json"))
     assert code == 0
     assert len(warnings) == 1
     assert "3 *.json file(s)" in warnings[0]
@@ -595,6 +634,44 @@ def test_compare_matches_each_method_once(gt_dir, tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 2
+
+
+def test_compare_validates_records_on_unscored_frames_but_skips_them(gt_dir, tmp_path, capsys):
+    from tripletseg.stats import partition_frames
+
+    split = ["--n-subsets", "3", "--subset-size", "1", "--seed", "11"]
+    keys = [(v, f) for v in ("vid01", "vid02") for f in range(3)]
+    unscored = ("vid01", 1)
+    assert all(unscored not in s for s in partition_frames(keys, 3, 1, 11).subsets)
+    docs = json.loads(_write_perfect_preds(gt_dir, tmp_path / "perfect.json").read_text())
+    at = [(d["video_id"], d["frame_id"]) for d in docs].index(unscored)
+    # B misses a frame the subsets score, so the methods differ
+    worse = [d for d in docs if (d["video_id"], d["frame_id"]) != ("vid02", 0)]
+
+    def compare(a_docs, b_docs):
+        (tmp_path / "a.json").write_text(json.dumps(a_docs))
+        (tmp_path / "b.json").write_text(json.dumps(b_docs))
+        out_file = tmp_path / "cmp.json"
+        out_file.unlink(missing_ok=True)
+        code = main(["compare", "--gt", str(gt_dir), "--preds-a", str(tmp_path / "a.json"),
+                     "--preds-b", str(tmp_path / "b.json"), "--mode", "seg", *split,
+                     "--out", str(out_file)])
+        err = capsys.readouterr().err.splitlines()
+        return code, err, out_file.read_bytes() if out_file.exists() else None
+
+    code, err, expected = compare(docs, worse)
+    assert (code, err) == (0, [])
+    bad_sum = {**docs[at], "mask": {"size": [H, W], "counts": [H * W - 3, 4]}}
+    for a_docs, b_docs, name in ((docs[:at] + [bad_sum] + docs[at + 1:], worse, "a.json"),
+                                 (docs, worse[:at] + [bad_sum] + worse[at + 1:], "b.json")):
+        code, err, report = compare(a_docs, b_docs)
+        assert (code, report) == (1, None)
+        assert err == [f"error: {tmp_path / name}[{at}].mask: counts sum {H * W + 1} != "
+                       f"{H}*{W} pixels"]
+    # a valid mask of another frame size is never matched on an unscored frame
+    wide = {**docs[at], "mask": {"size": [H, W + 1], "counts": [1, H * (W + 1) - 1]}}
+    assert compare(docs[:at] + [wide] + docs[at + 1:], worse) == (0, [], expected)
+    assert compare(docs, worse[:at] + [wide] + worse[at + 1:]) == (0, [], expected)
 
 
 def test_compare_identical_predictions_errors(gt_dir, tmp_path, capsys):

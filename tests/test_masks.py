@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import pickle
 import sys
 from array import array
 
@@ -102,13 +104,67 @@ def test_mask_value_contract():
     assert all(type(c) is int for c in doc["counts"])
 
 
-def test_counts_stored_at_eight_bytes_each():
+def test_counts_stored_at_four_bytes_each():
     counts = [300, 20] * 500 + [480 * 854 - 320 * 500]
     for given in (counts, tuple(counts), [np.int64(c) for c in counts]):
         m = RleMask(height=480, width=854, counts=given)
-        assert m.counts.itemsize == 8
-        assert sys.getsizeof(m.counts) == sys.getsizeof(array("q")) + 8 * len(counts)
+        assert m.counts.typecode == "I" and m.counts.itemsize == 4
+        assert sys.getsizeof(m.counts) == sys.getsizeof(array("I")) + 4 * len(counts)
         assert m.counts.tolist() == counts
+
+
+# the largest frames of each width: 2**32 - 1 pixels and 2**32 pixels
+WIDTHS = [((65535, 65537), "I", 4), ((65536, 65536), "q", 8)]
+
+
+@pytest.mark.parametrize("size,typecode,itemsize", WIDTHS)
+def test_count_width_follows_frame_pixels(size, typecode, itemsize):
+    h, w = size
+    counts = [h * w - 2**20 - 3, 2**20, 3]
+    for given in (counts, tuple(counts), [np.int64(c) for c in counts]):
+        m = RleMask(height=h, width=w, counts=given)
+        assert (m.counts.typecode, m.counts.itemsize) == (typecode, itemsize)
+        assert sys.getsizeof(m.counts) == sys.getsizeof(array(typecode)) + itemsize * 3
+        assert m.counts.tolist() == counts and m.area == 2**20
+    # a count above the word fails the sum check, not the packing
+    with pytest.raises(MaskError, match=r"^counts sum"):
+        RleMask(height=h, width=w, counts=(2**64 if itemsize == 8 else 2**32, 1))
+
+
+@pytest.mark.parametrize("size,typecode,itemsize", WIDTHS)
+def test_both_count_widths_keep_the_value_contract(size, typecode, itemsize):
+    h, w = size
+    ref = RleMask(height=h, width=w, counts=(5, h * w - 6, 1))
+    same = [
+        RleMask(height=h, width=w, counts=[5, h * w - 6, 1]),
+        RleMask(height=h, width=w, counts=ref.counts),
+        RleMask(height=h, width=w, counts=np.array([5, h * w - 6, 1], dtype=np.uint64)),
+        pickle.loads(pickle.dumps(ref)),
+        RleMask.from_json_dict(json.loads(json.dumps(ref.to_json_dict()))),
+    ]
+    for m in same:
+        assert m.counts.typecode == typecode
+        assert m == ref and hash(m) == hash(ref)
+    assert len({ref, *same}) == 1
+    assert ref != RleMask(height=h, width=w, counts=(6, h * w - 7, 1))
+    assert ref.to_json_dict() == {"size": [h, w], "counts": [5, h * w - 6, 1]}
+    assert all(type(c) is int for c in ref.to_json_dict()["counts"])
+    assert repr(ref) == f"RleMask(height={h}, width={w}, counts=(5, {h * w - 6}, 1))"
+
+
+def test_pair_intersections_over_mixed_count_widths():
+    # one batch, one chunk: 4-byte and 8-byte counts widened into one int64 table
+    (small, _, _), (large, _, _) = WIDTHS
+    pairs = []
+    for h, w in (small, large, (5, 4)):
+        a = RleMask(height=h, width=w, counts=(3, 7, h * w - 10))
+        b = RleMask(height=h, width=w, counts=(0, 5, 1, 2, h * w - 8))
+        pairs += [(a, b), (b, a), (a, a)]
+    assert {a.counts.typecode for a, _ in pairs} == {"I", "q"}
+    assert len(list(masks._chunks([3] * len(pairs), [a.height * a.width for a, _ in pairs]))) == 1
+    batched = pair_intersections([a for a, _ in pairs], [b for _, b in pairs])
+    assert batched == [pair_intersections([a], [b])[0] for a, b in pairs]
+    assert batched == [4, 4, 7] * 3
 
 
 def test_full_2_62_pixel_mask_packs():
