@@ -49,6 +49,39 @@ def _write_json(path: str | Path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+# flags naming the files a command reads; --gt, --masks and align's --out
+# name directories of videos, and --out, --report and --json-out outputs
+_READ_FILES = ("labels", "schema", "preds", "preds_a", "preds_b", "values_a", "values_b")
+_PATH_FLAGS = (*_READ_FILES, "gt", "masks", "out", "report", "json_out")
+
+
+def _refuse_outputs_on_inputs(args: argparse.Namespace) -> None:
+    """Refuses, before anything is read, an output that resolves to a file
+    the command reads, to a directory of videos, or to a *.json file
+    directly in one, which later commands read as a video."""
+    def flag(name: str) -> str:
+        return "--" + name.replace("_", "-")
+
+    # realpath, unlike Path.resolve before Python 3.13, raises no error on a symlink loop
+    real = {name: os.path.realpath(value) for name, value in vars(args).items()
+            if name in _PATH_FLAGS and value is not None}
+    video_dirs = [d for d in ("gt", "masks", "out")
+                  if d in real and (d != "out" or args.command == "align")]
+    for out in ("out", "report", "json_out"):
+        if out not in real:
+            continue
+        path, given = real[out], f"{flag(out)} {getattr(args, out)}"
+        dirs = [d for d in video_dirs if d != out]
+        for name, kind in [(n, "file") for n in _READ_FILES] + [(d, "directory") for d in dirs]:
+            if real.get(name) == path:
+                raise TripletSegError(
+                    f"{given} is the {flag(name)} {kind}, which {args.command} reads")
+        if path.endswith(".json") and os.path.dirname(path) in (real[d] for d in dirs):
+            raise TripletSegError(
+                f"{given} is a *.json file in {' or '.join(map(flag, dirs))}, "
+                "which later commands read as a video")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     paths = dataset_io.video_files(args.gt)
@@ -69,14 +102,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     from . import alignment
-    # realpath, unlike Path.resolve before Python 3.13, raises no error on a symlink loop
-    masks_dir, out_dir = os.path.realpath(args.masks), os.path.realpath(args.out)
-    if out_dir == masks_dir:
-        raise TripletSegError(f"--out {args.out} is the --masks directory, which align reads")
-    report = os.path.realpath(args.report) if args.report else ""
-    if report.endswith(".json") and os.path.dirname(report) in (masks_dir, out_dir):
-        raise TripletSegError(f"--report {args.report} is a *.json file in --masks or --out, "
-                              "which later commands read as a video")
     schema = load_schema(args.schema)
     labels = alignment.read_label_stream(args.labels)
     masks = alignment.read_mask_stream(args.masks, schema)
@@ -176,12 +201,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         frame_keys = [(r.video_id, r.frame_id) for r in frames]
         partition = stats.partition_frames(frame_keys, args.n_subsets, args.subset_size, args.seed)
         # keep only what lies on frames a subset scores, as soon as each file
-        # is read (and checked whole), so A's other records go before B is read
+        # is read and checked whole, so A's other records go before B is read;
+        # a mask or box must fit a scored frame, the only frames matched
         used = {key for subset in partition.subsets for key in subset}
         frames = [r for r in frames if (r.video_id, r.frame_id) in used]
-        preds_a, preds_b = ([p for p in dataset_io.read_predictions(path, args.mode, schema)
-                             if (p.video_id, p.frame_id) in used]
-                            for path in (args.preds_a, args.preds_b))
+        sizes = {(r.video_id, r.frame_id): (r.height, r.width) for r in frames}
+
+        def read(path: str) -> list:
+            preds = dataset_io.read_predictions(path, args.mode, schema)
+            evaluation.check_predictions(path, preds, args.mode, sizes)
+            return [p for p in preds if (p.video_id, p.frame_id) in used]
+
+        preds_a, preds_b = read(args.preds_a), read(args.preds_b)
         # match each method once, then score every subset from its table
         tables = [evaluation.match(frames, preds, config, schema) for preds in (preds_a, preds_b)]
         values_a, values_b = (
@@ -368,6 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _refuse_outputs_on_inputs(args)
         return args.func(args)
     except TripletSegError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -209,10 +209,10 @@ def _average_precision(
 def _pred_geometry(
     index: int, det: DetectionRecord, mode: str, frame_size: tuple[int, int] | None
 ) -> RleMask | BBox:
-    """The geometry a prediction is scored with, checked before any IoU is
-    computed: a mask or det box must fit its ground-truth frame (if the
-    frame is known), and a det prediction without a box needs a non-empty
-    mask."""
+    """A prediction's own geometry, checked before any IoU is computed: its
+    det bbox, else its mask. A mask or det box must fit its ground-truth
+    frame (if the frame is known), and a det prediction without a box needs
+    a non-empty mask."""
     where = f"prediction {index} ({det.video_id}, {det.frame_id}) triplet {det.triplet_id}"
     if mode == "det" and det.bbox is not None:
         box = det.bbox
@@ -236,6 +236,23 @@ def _pred_geometry(
     if mode == "det" and det.mask.area == 0:
         raise EvaluationError(f"{where}: empty mask and no bbox")
     return det.mask
+
+
+def check_predictions(
+    path: str, preds: Sequence[DetectionRecord], mode: str,
+    frame_size: dict[FrameKey, tuple[int, int]],
+) -> None:
+    """Every check ``match`` makes on the seg/det records of a prediction
+    file, by file index, with the file's path in the error; a mask or box
+    must fit the frames of ``frame_size``, and records on other frames are
+    checked as on frames absent from the ground truth."""
+    if mode == "rec":  # read_predictions checks recognition records
+        return
+    try:
+        for index, det in enumerate(preds):
+            _pred_geometry(index, det, mode, frame_size.get((det.video_id, det.frame_id)))
+    except EvaluationError as exc:
+        raise EvaluationError(f"{path}: {exc}") from None
 
 
 class ClassRows(NamedTuple):
@@ -284,22 +301,22 @@ def _match_grounded(
     """Ground truth consists of the grounded instances (those carrying a
     triplet assignment). Predictions on frames absent from the ground
     truth are warned about and scored as false positives in their stated
-    frame. IoU is computed once per (prediction, GT) pair of a frame, all
-    frames in one batch; each component's greedy pass skips cross-class pairs."""
-    gt_by_frame: dict[FrameKey, list[tuple[int, RleMask]]] = {}
+    frame. Seg scores masks, det boxes alone. IoU is computed once per
+    (prediction, GT) pair of a frame, all frames in one batch; each
+    component's greedy pass skips cross-class pairs."""
+    gt_by_frame: dict[FrameKey, list[tuple[int, RleMask | BBox]]] = {}
     frame_size: dict[FrameKey, tuple[int, int]] = {}
     for rec in gt_frames:
         frame_size[(rec.video_id, rec.frame_id)] = (rec.height, rec.width)
         gt_by_frame[(rec.video_id, rec.frame_id)] = [
             (g.triplet_id, g.mask) for g in rec.instances if g.triplet_id is not None
         ]
-    preds_by_frame: dict[FrameKey, list[tuple[int, float, RleMask | BBox]]] = {}
+    preds_by_frame: dict[FrameKey, list[int]] = {}  # input indices
+    geom: list[RleMask | BBox] = []
     for index, det in enumerate(preds):
         key = (det.video_id, det.frame_id)
-        preds_by_frame.setdefault(key, []).append((
-            det.triplet_id, det.score,
-            _pred_geometry(index, det, config.mode, frame_size.get(key)),
-        ))
+        geom.append(_pred_geometry(index, det, config.mode, frame_size.get(key)))
+        preds_by_frame.setdefault(key, []).append(index)
     unknown = preds_by_frame.keys() - gt_by_frame.keys()
     if unknown:
         log.warning(
@@ -311,26 +328,26 @@ def _match_grounded(
     keys = sorted(gt_by_frame.keys() | preds_by_frame.keys())
     gts = [gt_by_frame.get(k, []) for k in keys]
     dets = [preds_by_frame.get(k, []) for k in keys]
+    if config.mode == "det":  # a GT mask's box; a prediction's own bbox, else its mask's
+        unboxed = [m for g in gts for _, m in g] + [det.mask for det in preds if det.bbox is None]
+        boxes = iter(mask_boxes(unboxed))  # each mask boxed once, in one batch
+        gts = [[(tid, next(boxes)) for tid, _ in g] for g in gts]
+        geom = [next(boxes) if det.bbox is None else det.bbox for det in preds]
 
     def classes(tids: list[int]) -> list[list[int]]:  # one column per component
         return [_class_indices(schema, tids, c) for c in config.components]
 
     gt_cols = classes([tid for g in gts for tid, _ in g])
-    pred_cols = classes([tid for d in dets for tid, _, _ in d])
-    scores = [s for d in dets for _, s, _ in d]
+    pred_cols = classes([preds[i].triplet_id for d in dets for i in d])
+    scores = [preds[i].score for d in dets for i in d]
 
     # rows in descending score order, ties keeping input order
-    orders = [sorted(range(len(d)), key=lambda p: -d[p][1]) if g else []
+    orders = [sorted(range(len(d)), key=lambda p: -preds[d[p]].score) if g else []
               for g, d in zip(gts, dets)]
-    pair_pred = [d[p][2] for g, d, order in zip(gts, dets, orders) for p in order for _ in g]
+    pair_pred = [geom[d[p]] for g, d, order in zip(gts, dets, orders) for p in order for _ in g]
     pair_gt = [m for g, order in zip(gts, orders) for _ in order for _, m in g]
-    if config.mode == "seg":
-        ious = pair_ious(pair_pred, pair_gt)
-    else:
-        masks = [m for g in gts for _, m in g]
-        masks += [x for d in dets for _, _, x in d if isinstance(x, RleMask)]
-        box = dict(zip(map(id, masks), mask_boxes(masks)))
-        ious = [box_iou(box.get(id(p), p), box[id(g)]) for p, g in zip(pair_pred, pair_gt)]
+    ious = (pair_ious(pair_pred, pair_gt) if config.mode == "seg"
+            else list(map(box_iou, pair_pred, pair_gt)))
 
     tp = [[False] * len(scores) for _ in config.components]
     at = g0 = p0 = 0

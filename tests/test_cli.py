@@ -351,6 +351,62 @@ def test_align_writes_a_report_beside_or_below_the_videos(gt_dir, tmp_path, caps
     assert "2 files, 6 frames, 0 errors" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, out_flag, in_flag", [
+    ("align", "--out", "--masks"),
+    ("align", "--out", "--labels"),
+    ("align", "--report", "--labels"),
+    ("align", "--report", "--schema"),
+    ("align", "--report", "--masks"),
+    ("align", "--report", "--out"),
+    ("stats", "--json-out", "--gt"),
+    ("stats", "--json-out", "--schema"),
+    ("eval", "--out", "--gt"),
+    ("eval", "--out", "--preds"),
+    ("eval", "--out", "--schema"),
+    ("compare", "--out", "--gt"),
+    ("compare", "--out", "--preds-a"),
+    ("compare", "--out", "--preds-b"),
+    ("compare", "--out", "--schema"),
+    ("compare", "--out", "--values-a"),
+    ("compare", "--out", "--values-b"),
+])
+def test_outputs_may_not_resolve_to_an_input(gt_dir, tmp_path, capsys,
+                                             command, out_flag, in_flag):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    preds_a = _write_perfect_preds(gt_dir, tmp_path / "a.json")
+    preds_b = _write_perfect_preds(gt_dir, tmp_path / "b.json")
+    # no input is read before the check, so none needs to be valid
+    for name in ("schema.csv", "va.json", "vb.json"):
+        (tmp_path / name).write_text("not read\n")
+    (tmp_path / "aligned").mkdir()
+    flags = {
+        "align": {"--labels": labels_file, "--masks": masks_dir, "--out": tmp_path / "aligned",
+                  "--report": tmp_path / "amb.json"},
+        "stats": {"--gt": gt_dir, "--json-out": tmp_path / "stats.json"},
+        "eval": {"--gt": gt_dir, "--preds": preds_a, "--mode": "seg",
+                 "--out": tmp_path / "r.json"},
+        "compare": ({"--values-a": tmp_path / "va.json", "--values-b": tmp_path / "vb.json"}
+                    if in_flag.startswith("--values") else
+                    {"--gt": gt_dir, "--preds-a": preds_a, "--preds-b": preds_b, "--mode": "seg"}),
+    }[command]
+    flags = {**flags, "--schema": tmp_path / "schema.csv"}
+    target = flags[in_flag]
+    if target.is_dir() and not (command, out_flag) == ("align", "--out"):
+        target = target / "vid01.json"
+    # a path that resolves to the input without naming it
+    clash = tmp_path / "x" / ".." / target.relative_to(tmp_path)
+    flags[out_flag] = clash
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [command, *(str(v) for item in flags.items() for v in item)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out_flag} {clash} is ")
+    assert in_flag in err[0]
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_align_warns_of_stale_json_in_out(gt_dir, tmp_path, capsys, caplog):
     labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
     clean, used = tmp_path / "clean", tmp_path / "used"
@@ -672,6 +728,86 @@ def test_compare_validates_records_on_unscored_frames_but_skips_them(gt_dir, tmp
     wide = {**docs[at], "mask": {"size": [H, W + 1], "counts": [1, H * (W + 1) - 1]}}
     assert compare(docs[:at] + [wide] + docs[at + 1:], worse) == (0, [], expected)
     assert compare(docs, worse[:at] + [wide] + worse[at + 1:]) == (0, [], expected)
+
+
+# three subsets of one frame each, none of which holds ("vid01", 1)
+UNSCORED_SPLIT = ["--n-subsets", "3", "--subset-size", "1", "--seed", "11"]
+
+
+def _compare_argv(gt_dir, tmp_path, a_docs, b_docs, mode):
+    """compare's arguments on two prediction lists, written to a.json and
+    b.json, with the report at cmp.json."""
+    for name, docs in (("a.json", a_docs), ("b.json", b_docs)):
+        (tmp_path / name).write_text(json.dumps(docs))
+    return ["compare", "--gt", str(gt_dir), "--preds-a", str(tmp_path / "a.json"),
+            "--preds-b", str(tmp_path / "b.json"), "--mode", mode, *UNSCORED_SPLIT,
+            "--out", str(tmp_path / "cmp.json")]
+
+
+@pytest.fixture()
+def perfect_docs(gt_dir, tmp_path):
+    return json.loads(_write_perfect_preds(gt_dir, tmp_path / "perfect.json").read_text())
+
+
+@pytest.mark.parametrize("side", ["a.json", "b.json"])
+def test_compare_names_file_and_file_index_of_a_bad_record(gt_dir, tmp_path, capsys,
+                                                          perfect_docs, side):
+    from tripletseg.stats import partition_frames
+
+    keys = [(d["video_id"], d["frame_id"]) for d in perfect_docs]
+    vid, fid = partition_frames(keys, 3, 1, 11).subsets[0][0]
+    # after the record of the unscored frame, which compare does not match
+    at = keys.index(("vid01", 1)) + 1
+    bad = {"video_id": vid, "frame_id": fid, "triplet_id": 50, "score": 0.5,
+           "mask": {"size": [10, 10], "counts": [0, 100]}}
+    docs = {name: list(perfect_docs) for name in ("a.json", "b.json")}
+    docs[side].insert(at, bad)
+    code = main(_compare_argv(gt_dir, tmp_path, docs["a.json"], docs["b.json"], "seg"))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / side}: prediction {at} ({vid}, {fid}) triplet 50: "
+        f"mask size 10x10 does not match frame size {H}x{W}"]
+    assert not (tmp_path / "cmp.json").exists()
+
+
+@pytest.mark.parametrize("mode, geometry, message", [
+    ("seg", {"bbox": [0, 0, 4, 4]}, "seg mode requires masks on all predictions; "
+                                    "prediction 2 (vid01, 1) triplet 50 has none"),
+    ("det", {"mask": {"size": [H, W], "counts": [H * W]}},
+     "prediction 2 (vid01, 1) triplet 50: empty mask and no bbox"),
+], ids=["seg-maskless", "det-empty"])
+def test_compare_checks_records_on_unscored_frames(gt_dir, tmp_path, capsys, perfect_docs,
+                                                   mode, geometry, message):
+    from tripletseg.stats import partition_frames
+
+    keys = [(d["video_id"], d["frame_id"]) for d in perfect_docs]
+    assert all(("vid01", 1) not in s for s in partition_frames(keys, 3, 1, 11).subsets)
+    # B misses a frame the subsets score, so the methods differ
+    worse = [d for d in perfect_docs if (d["video_id"], d["frame_id"]) != ("vid02", 0)]
+    bad = {"video_id": "vid01", "frame_id": 1, "triplet_id": 50, "score": 0.5, **geometry}
+    assert main(_compare_argv(gt_dir, tmp_path, perfect_docs, worse, mode)) == 0
+    capsys.readouterr()
+    (tmp_path / "cmp.json").unlink()
+    for a_docs, b_docs, side in ((perfect_docs[:2] + [bad] + perfect_docs[2:], worse, "a.json"),
+                                 (perfect_docs, worse[:2] + [bad] + worse[2:], "b.json")):
+        assert main(_compare_argv(gt_dir, tmp_path, a_docs, b_docs, mode)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / side}: {message}"]
+        assert not (tmp_path / "cmp.json").exists()
+
+
+def test_compare_rejects_b_before_matching_a(gt_dir, tmp_path, capsys, perfect_docs,
+                                             monkeypatch):
+    from tripletseg import evaluation
+
+    calls = []
+    monkeypatch.setattr(evaluation, "match", lambda *args: calls.append(args))
+    bad = {**perfect_docs[0], "mask": {"size": [10, 10], "counts": [0, 100]}}
+    argv = _compare_argv(gt_dir, tmp_path, perfect_docs, [bad, *perfect_docs[1:]], "seg")
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'b.json'}: prediction 0 ")
+    assert calls == []
 
 
 def test_compare_identical_predictions_errors(gt_dir, tmp_path, capsys):
