@@ -160,6 +160,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = _build_eval_config(args, args.components)
     frames = dataset_io.read_ground_truth(args.gt, schema)
     preds = dataset_io.read_predictions(args.preds, args.mode, schema)
+    # the checks match makes, run first so that an error names the file; the
+    # frame sizes are built in the call, so they are freed before matching
+    evaluation.check_predictions(args.preds, preds, args.mode,
+                                 {(r.video_id, r.frame_id): (r.height, r.width) for r in frames})
     report = evaluation.evaluate(frames, preds, config, schema)
     print(report.render_table())
     if args.out:

@@ -21,7 +21,21 @@ from .errors import DatasetError
 from .masks import BBox, MaskError, RleMask
 from .schema import TripletSchema
 
-_DECODER = json.JSONDecoder()
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict; DatasetError names the first key given twice,
+    which a plain dict would keep only the last value of."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DatasetError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 # an array's punctuation with the whitespace JSON allows around it
 _OPEN, _COMMA, _CLOSE = (re.compile(rf"[ \t\n\r]*{p}[ \t\n\r]*") for p in (r"\[", ",", r"\]"))
 # json.dumps(indent=2) runs in pure Python, so the writer builds that layout
@@ -113,10 +127,13 @@ def read_text(path: str | Path) -> str:
 
 
 def _loads(path: str | Path, text: str) -> Any:
+    # json.loads keeps its message for a byte order mark, which decode lacks
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def load_json(path: str | Path) -> Any:
@@ -141,6 +158,8 @@ def _array_items(path: str | Path, text: str) -> Iterator[Any]:
             obj, end = _DECODER.raw_decode(text, step.end())
         except (ValueError, RecursionError):
             break
+        except DatasetError as exc:
+            raise DatasetError(f"{path}[{done}]: {exc}") from None
         step = _COMMA.match(text, end)
         last = step is None
         if last and not _CLOSE.fullmatch(text, end):

@@ -233,7 +233,7 @@ def _pred_geometry(
             f"{where}: mask size {size[0]}x{size[1]} does not match "
             f"frame size {frame_size[0]}x{frame_size[1]}"
         )
-    if mode == "det" and det.mask.area == 0:
+    if mode == "det" and len(det.mask.counts) == 1:  # the canonical empty mask
         raise EvaluationError(f"{where}: empty mask and no bbox")
     return det.mask
 

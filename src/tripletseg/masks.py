@@ -12,18 +12,18 @@ that purpose. Counts are checked and boxes computed in plain Python. Only
 ``pair_intersections``, ``_run_table``, ``foreground_intervals``,
 ``rle_decode`` and ``rle_encode`` load numpy.
 
-A validated mask packs its counts into one ``array('I')``, 4 bytes per
-count as in COCO's mask API, or into an ``array('q')`` once its frame has
-2**32 pixels. Every reader sees plain Python ints; numpy reads the buffer
-directly, in the array's dtype, and sums in int64.
+A validated mask stores its counts in one ``array('I')``, 4 bytes per count
+as in COCO's mask API, or in an ``array('q')`` once its frame has 2**32
+pixels; building the array rejects a count too wide for its word, and
+``array('I')`` a negative one. Every reader sees plain Python ints; numpy
+reads the buffer directly, in the array's dtype, and sums in int64.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
-from collections.abc import Callable, Iterator, Sequence
-from functools import lru_cache
+from collections.abc import Iterator, Sequence
+from contextlib import suppress
 from itertools import accumulate, count, islice, repeat
 from operator import add, mod
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -32,14 +32,6 @@ from .errors import MaskError
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@lru_cache(maxsize=1024)
-def _packer(n: int, code: str) -> Callable[..., bytes]:
-    """Packs n non-negative ints into native unsigned words of struct ``code``,
-    ``I`` (below 2**32) or ``Q`` (below 2**64). Kept per count length: building
-    the format per mask costs small masks more than their checks."""
-    return struct.Struct(f"{n}{code}").pack
 
 
 class RleMask:
@@ -58,17 +50,18 @@ class RleMask:
             raise MaskError("empty counts")
         if len(counts) > 1 and counts[-1] == 0:
             raise MaskError("trailing zero count")
-        # C builtins pass plain int counts with no zero after the first, and
-        # packing them unsigned rejects a negative one; the loop checks the rest
-        # (numpy ints are Integral) and names a bad index; a too wide count fails the sum
-        code = "I" if height * width < 2**32 else "Q"
-        packed = None
-        if set(map(type, counts)) <= {int} and 0 not in counts[1:]:
-            try:
-                packed = _packer(len(counts), code)(*counts)
-            except struct.error:
-                pass
-        if packed is None:
+        # plain ints with no zero after the first, in a list, a tuple or an array of
+        # the stored type (each sized exactly by array()), go into the array in C,
+        # which rejects a too wide count, and as 'I' a negative one. The loop checks
+        # the rest (numpy ints are Integral) and names a bad index; a too wide count fails the sum
+        code = "I" if height * width < 2**32 else "q"
+        stored = None
+        if ((type(counts) in (list, tuple) or getattr(counts, "typecode", "") == code)
+                and set(map(type, counts)) <= {int} and 0 not in counts[1:]
+                and (code == "I" or min(counts) >= 0)):
+            with suppress(OverflowError):
+                stored = array(code, counts)
+        if stored is None:
             from numbers import Integral
             for idx, c in enumerate(counts):
                 if not isinstance(c, Integral) or isinstance(c, bool):
@@ -81,12 +74,9 @@ class RleMask:
         total = sum(counts)
         if total != height * width:
             raise MaskError(f"counts sum {total} != {height}*{width} pixels")
-        # the sum bounds every count by the pixels, so 8-byte unsigned words are
-        # int64 words; an array built from bytes keeps 1/16 spare, its slice does not
-        packed = packed or _packer(len(counts), code)(*counts)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "counts", array("I" if code == "I" else "q", packed)[:])
+        object.__setattr__(self, "counts", array(code, counts) if stored is None else stored)
 
     def __setattr__(self, name: str, value: Any = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")

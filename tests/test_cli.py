@@ -202,6 +202,141 @@ def test_eval_accepts_bbox_on_frame_edge(gt_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode, frame_id, geometry, message", [
+    ("seg", 1, {"mask": {"size": [10, 10], "counts": [0, 100]}},
+     "prediction 2 (vid01, 1) triplet 50: mask size 10x10 does not match frame size 16x16"),
+    ("seg", 99, {"bbox": [0, 0, 4, 4]},
+     "seg mode requires masks on all predictions; prediction 2 (vid01, 99) triplet 50 has none"),
+    ("det", 99, {"mask": {"size": [H, W], "counts": [H * W]}},
+     "prediction 2 (vid01, 99) triplet 50: empty mask and no bbox"),
+    ("det", 1, {"bbox": [10, 0, 7, 4]},
+     "prediction 2 (vid01, 1) triplet 50: bbox [10, 0, 7, 4] does not fit frame size 16x16"),
+], ids=["seg-size", "seg-maskless", "det-empty", "det-bbox"])
+def test_eval_names_file_of_a_bad_record_before_matching(gt_dir, tmp_path, capsys, monkeypatch,
+                                                         mode, frame_id, geometry, message):
+    from tripletseg import evaluation
+
+    calls = []
+    monkeypatch.setattr(evaluation, "match", lambda *args: calls.append(args))
+    preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
+    records = json.loads(preds.read_text())
+    records.insert(2, {"video_id": "vid01", "frame_id": frame_id,
+                       "triplet_id": 50, "score": 0.5, **geometry})
+    preds.write_text(json.dumps(records))
+    out = tmp_path / "report.json"
+    argv = ["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", mode, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {preds}: {message}"]
+    assert captured.out == "" and calls == [] and not out.exists()
+
+
+# a JSON object that gives a key twice is an error in every input file
+
+
+def _repeat_key(text, key, at=0):
+    """``text`` with the ``at``-th ``"key": value`` given twice in a row."""
+    start = -1
+    for _ in range(at + 1):
+        start = text.index(f'"{key}":', start + 1)
+    value = start + len(key) + 3
+    _, end = json.JSONDecoder().raw_decode(text, value + (text[value] == " "))
+    return f"{text[:end]}, {text[start:end]}{text[end:]}"
+
+
+def _gt_width(gt_dir, tmp_path):
+    path = gt_dir / "vid02.json"
+    path.write_text(_repeat_key(path.read_text(), "width"))
+    return [], f"{path}: duplicate key 'width'"
+
+
+def _preds_key(key, at, index, mode="seg"):
+    """A prediction file whose record ``index`` gives ``key`` twice."""
+    def make(gt_dir, tmp_path):
+        preds = tmp_path / "preds.json"
+        if mode == "rec":
+            preds.write_text(json.dumps([{"video_id": v, "frame_id": f, "scores": [0.5] * 100}
+                                         for v in ("vid01", "vid02") for f in range(3)]))
+        else:
+            _write_perfect_preds(gt_dir, preds)
+        preds.write_text(_repeat_key(preds.read_text(), key, at))
+        return (["--preds", str(preds), "--mode", mode],
+                f"{preds}[{index}]: duplicate key {key!r}")
+    return make
+
+
+@pytest.mark.parametrize("command, make", [
+    ("validate", _gt_width),
+    ("stats", _gt_width),
+    ("eval", _preds_key("video_id", 1, 1)),
+    # in the mask object of record 3, the first checked in its record
+    ("eval", _preds_key("size", 3, 3, "det")),
+    ("eval", _preds_key("frame_id", 4, 4, "rec")),
+], ids=["validate-gt-width", "stats-gt-width", "seg-video_id", "det-mask-size", "rec-frame_id"])
+def test_duplicate_keys_rejected(gt_dir, tmp_path, capsys, monkeypatch, command, make):
+    from tripletseg import evaluation
+
+    calls = []
+    monkeypatch.setattr(evaluation, "match", lambda *args: calls.append(args))
+    flags, message = make(gt_dir, tmp_path)
+    assert main([command, "--gt", str(gt_dir), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    # validate goes on to list the other files, and counts one error
+    assert captured.out == ("vid01.json: ok (3 frames)\n2 files, 3 frames, 1 errors\n"
+                            if command == "validate" else "")
+    assert calls == []
+
+
+def test_duplicate_key_in_either_compare_file(gt_dir, tmp_path, capsys, perfect_docs):
+    text = json.dumps(perfect_docs)
+    for a_text, b_text, side in ((_repeat_key(text, "score", 2), text, "a.json"),
+                                 (text, _repeat_key(text, "triplet_id", 5), "b.json")):
+        argv = _compare_argv(gt_dir, tmp_path, [], [], "seg")
+        (tmp_path / "a.json").write_text(a_text)
+        (tmp_path / "b.json").write_text(b_text)
+        assert main(argv) == 1
+        key, index = ("score", 2) if side == "a.json" else ("triplet_id", 5)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / side}[{index}]: duplicate key {key!r}"]
+        assert not (tmp_path / "cmp.json").exists()
+
+
+def test_duplicate_keys_rejected_in_mask_stream_and_values(gt_dir, tmp_path, capsys):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    stream = masks_dir / "vid01.json"
+    stream.write_text(_repeat_key(stream.read_text(), "instance_id", at=2))
+    argv = ["align", "--labels", str(labels_file), "--masks", str(masks_dir),
+            "--out", str(tmp_path / "aligned")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {stream}: duplicate key 'instance_id'"]
+    assert not (tmp_path / "aligned").exists()
+    values_a, values_b = tmp_path / "a.json", tmp_path / "b.json"
+    values_a.write_text("[1, 2, 3]")
+    values_b.write_text('[1, {"x": 1, "x": 2}, 3]')
+    assert main(["compare", "--values-a", str(values_a), "--values-b", str(values_b)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {values_b}: duplicate key 'x'"]
+
+
+def test_duplicate_key_reported_in_file_order(gt_dir, tmp_path, capsys):
+    preds = tmp_path / "preds.json"
+    dup = '{"video_id": "vid01", "video_id": "vid01", "frame_id": 0}'
+    # record 0 is bad before record 1 repeats a key
+    preds.write_text(f'[{{"video_id": 7}}, {dup}]')
+    argv = ["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", "seg"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {preds}[0].video_id: expected a string, got int"]
+    # record 0 repeats a key before the array breaks off
+    preds.write_text(f'[{dup}, {{"video_id": 7}}, {{"video_id"')
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {preds}[0]: duplicate key 'video_id'"]
+    # a key given twice in a whole-file parse names no record
+    preds.write_text(f'{{"a": 1, "a": 2}}')
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {preds}: duplicate key 'a'"]
+
+
 @pytest.mark.parametrize("form, flags, message", [
     ("eval", ["--components", "i,x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
     ("pipeline", ["--metric", "x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),

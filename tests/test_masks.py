@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
+import struct
 import sys
 from array import array
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -205,6 +208,104 @@ def test_full_2_62_pixel_mask_packs():
 def test_invalid_counts_rejected(counts, message):
     with pytest.raises(MaskError, match=message):
         RleMask(height=2, width=2, counts=counts)
+
+
+def _struct_packed_counts(height, width, counts):
+    """The stored counts as the constructor built them through ``struct``
+    packers: plain int counts packed unsigned in one call, anything else
+    checked count by count; the packed bytes went into an array and out
+    through a slice, which sizes it exactly."""
+    if len(counts) == 0:
+        raise MaskError("empty counts")
+    if len(counts) > 1 and counts[-1] == 0:
+        raise MaskError("trailing zero count")
+    code = "I" if height * width < 2**32 else "Q"
+    packed = None
+    if set(map(type, counts)) <= {int} and 0 not in counts[1:]:
+        try:
+            packed = struct.Struct(f"{len(counts)}{code}").pack(*counts)
+        except struct.error:
+            pass
+    if packed is None:
+        for idx, c in enumerate(counts):
+            if not isinstance(c, Integral) or isinstance(c, bool):
+                raise MaskError(f"counts[{idx}] is not an integer")
+            if c < 0:
+                raise MaskError(f"counts[{idx}] is negative")
+            if c == 0 and idx != 0:
+                raise MaskError(f"zero count at index {idx}, only allowed first")
+        counts = list(map(int, counts))
+    total = sum(counts)
+    if total != height * width:
+        raise MaskError(f"counts sum {total} != {height}*{width} pixels")
+    packed = packed or struct.Struct(f"{len(counts)}{code}").pack(*counts)
+    return array("I" if code == "I" else "q", packed)[:]
+
+
+# each word's edges, and 2**63, which is too wide for int64 but fits uint64
+EDGE_COUNTS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64)
+
+
+def _as_kind(value, kind):
+    """``value`` as a count of another type, where that type can hold it."""
+    if kind == "bool" and value in (0, 1):
+        return bool(value)
+    if kind == "float":
+        return float(value)
+    if kind == "int64" and -2**63 <= value < 2**63:
+        return np.int64(value)
+    if kind == "uint64" and 0 <= value < 2**64:
+        return np.uint64(value)
+    return value
+
+
+@st.composite
+def _count_inputs(draw):
+    h, w = draw(st.sampled_from([(65535, 65537), (65536, 65536), (3, 5)]))
+    n = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(1, 2**20), min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # a word's edge, or a negative
+        counts[draw(st.integers(0, n - 1))] = draw(
+            st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(-2**64, -1)))
+    # the last count closes the sum, which may take it below zero, or leaves it one off
+    counts[-1] = h * w - sum(counts[:-1]) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if draw(st.booleans()):
+        counts.insert(0, 0)  # a leading zero
+    zero_at = draw(st.sampled_from([None, None, None, "inner", "trailing"]))
+    if zero_at == "inner":
+        counts.insert(draw(st.integers(1, len(counts))), 0)
+    elif zero_at == "trailing":
+        counts.append(0)
+    if draw(st.booleans()):
+        kinds = st.sampled_from(["int"] * 5 + ["bool", "float", "int64", "uint64"])
+        counts = [_as_kind(c, draw(kinds)) for c in counts]
+    container = draw(st.sampled_from([list, list, tuple, "array", "ndarray", "objects"]))
+    if container == "array":
+        with contextlib.suppress(OverflowError, TypeError):
+            return h, w, array(draw(st.sampled_from("Iq")), counts)
+    elif container == "ndarray":
+        with contextlib.suppress(OverflowError):
+            return h, w, np.array(counts)
+    if container in ("ndarray", "objects"):
+        return h, w, np.array(counts, dtype=object)
+    return h, w, counts if container is list else tuple(counts)
+
+
+def _stored_or_error(build, h, w, counts):
+    try:
+        stored = build(h, w, counts)
+    except MaskError as exc:
+        return "error", str(exc)
+    return stored.typecode, stored.tobytes(), sys.getsizeof(stored)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(_count_inputs())
+def test_counts_stored_as_by_struct_packing(case):
+    # the same typecode, bytes and size, or the same error, as packing did
+    h, w, counts = case
+    want = _stored_or_error(_struct_packed_counts, h, w, counts)
+    assert _stored_or_error(lambda *args: RleMask(*args).counts, h, w, counts) == want
 
 
 @pytest.mark.parametrize(
