@@ -16,11 +16,10 @@ import os
 import sys
 from pathlib import Path
 
-# each command imports the modules only it uses; numpy loads with fusion, and
-# in masks only with pair_intersections, _run_table, foreground_intervals,
-# rle_decode and rle_encode (--mode seg), after main has capped OpenBLAS at one
-# thread. Records are NamedTuples or __slots__ classes, so no command loads the
-# dataclass machinery, and inspect loads only with numpy
+# each command imports the modules only it uses; numpy loads only with fusion
+# (fusion-check), after main has capped OpenBLAS at one thread. Records are
+# NamedTuples or __slots__ classes, so no command loads the dataclass
+# machinery, and inspect loads only with numpy
 from . import dataset_io
 from .errors import TripletSegError
 from .schema import COMPONENTS, load_schema

@@ -471,7 +471,7 @@ def match(
 
 def _score_component(
     rows: ClassRows, keys: tuple[ComponentKey, ...], ranking: list[int],
-    splits: dict[int, dict[int, list[int]]], method: str, pred_count: int,
+    splits: dict[int, dict[int, Sequence[int]]], method: str, pred_count: int,
 ) -> ComponentResult:
     """Every class AP of one component. ``ranking`` gives each frame's
     ranking, -1 if left out; ``splits`` caches each frame column's row
@@ -533,7 +533,10 @@ def score(table: MatchTable, frames: Collection[FrameKey] | None = None) -> Eval
             raise EvaluationError(f"subset frames not in ground truth: {sorted(missing)[:5]}")
 
     method = config.resolved_ap_method
-    splits: dict[int, dict[int, list[int]]] = {}  # rec classes share one frame column
+    splits: dict[int, dict[int, Sequence[int]]] = {}  # rec classes share one frame column
+    if not any(ranking):  # one ranking holds every row of every column
+        splits = {id(col): {0: range(len(col))}
+                  for comp in config.components for col in table.rows[comp].frame}
     return EvalReport(
         mode=config.mode,
         iou_threshold=config.iou_threshold,

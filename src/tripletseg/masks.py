@@ -6,25 +6,25 @@ background. A mask that begins with foreground therefore has a leading
 zero count. Canonical form allows a zero count only at index 0 and never
 a trailing zero, so encodings are unique and comparable.
 
-IoU between two masks is computed exactly on the run intervals with
-integer arithmetic; masks are never materialised as pixel arrays for
-that purpose. Counts are checked and boxes computed in plain Python. Only
-``pair_intersections``, ``_run_table``, ``foreground_intervals``,
-``rle_decode`` and ``rle_encode`` load numpy.
+IoU between two masks is computed exactly by merging their run lists in
+plain Python integers; masks are never materialised as pixel arrays for
+that purpose. Counts are checked and boxes computed in plain Python too.
+Only ``foreground_intervals``, ``rle_decode`` and ``rle_encode`` load numpy.
 
 A validated mask stores its counts in one ``array('I')``, 4 bytes per count
 as in COCO's mask API, or in an ``array('q')`` once its frame has 2**32
 pixels; building the array rejects a count too wide for its word, and
-``array('I')`` a negative one. Every reader sees plain Python ints; numpy
-reads the buffer directly, in the array's dtype, and sums in int64.
+``array('I')`` a negative one. Every reader sees plain Python ints;
+``rle_decode`` reads the buffer directly, in the array's dtype.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import suppress
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, mod
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -184,97 +184,91 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     return RleMask(height=h, width=w, counts=counts)
 
 
-# Runs per chunk of pairs in `pair_intersections`, so memory stays flat. On
-# seg-overlap, peak RSS of `eval --mode seg` and `compare` stayed at or below
-# one call per pair at 2**14; `eval --mode seg` rose 29 MiB with no chunks.
+# Runs held at once in `pair_intersections`: each distinct mask's run bounds are
+# listed once and kept until they reach this many, so memory stays flat.
 CHUNK_RUNS = 1 << 14
 
 
-def _chunks(runs: Sequence[int], spans: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Consecutive ``[lo, hi)`` pair ranges, closed once their runs reach
-    ``CHUNK_RUNS`` and before pairs × largest pixel span reaches 2**63."""
-    lo = total = span = 0
-    for i, n, size in zip(count(), runs, spans):
-        span = size if size > span else span
-        if i > lo and (i + 1 - lo) * span >= 2**63:
-            yield lo, i
-            lo, total, span = i, 0, size
-        total += n
-        if total >= CHUNK_RUNS:
-            yield lo, i + 1
-            lo, total, span = i + 1, 0, 0
-    if lo < len(runs):
-        yield lo, len(runs)
+def _span(mask: RleMask) -> tuple[int, int]:
+    """First foreground pixel and one past the last, in flat column-major
+    index, from the first and last counts. An empty mask's span is empty."""
+    counts, total = mask.counts, mask.height * mask.width
+    return counts[0], total - counts[-1] if len(counts) % 2 else total
 
 
-def _run_table(masks: Sequence[RleMask]) -> tuple[np.ndarray, ...]:
-    """Foreground runs of many masks in one pass: ``start``, ``end``, ``owner``
-    per run, in mask then position order; ``first`` run and run count ``n`` per mask."""
-    import numpy as np
-    lengths = np.array([len(m.counts) for m in masks], dtype=np.int64)
-    # one int64 copy of the packed counts, since first counts change below; a
-    # batch of mixed widths widens its 4-byte arrays
-    code = "q" if any(m.counts.typecode == "q" for m in masks) else "I"
-    packed = bytearray().join(m.counts if m.counts.typecode == code else array(code, m.counts)
-                              for m in masks)
-    counts = np.frombuffer(packed, dtype=code).astype(np.int64, copy=False)
-    heads = np.cumsum(lengths) - lengths
-    # taking the previous mask's pixels off a first count restarts the sum
-    counts[heads[1:]] -= np.array([m.height * m.width for m in masks[:-1]], dtype=np.int64)
-    ends = np.cumsum(counts)
-    n = lengths // 2
-    first = np.cumsum(n) - n
-    owner = np.repeat(np.arange(len(masks)), n)
-    at = 2 * np.arange(owner.size) + (heads + 1 - 2 * first)[owner]  # odd offsets
-    return ends[at] - counts[at], ends[at], owner, first, n
+def _bounds(mask: RleMask) -> list[int]:
+    """Start and end of each foreground run in flat column-major index, one
+    sorted list from one running sum over the counts."""
+    bounds = list(accumulate(mask.counts))
+    if len(bounds) % 2:
+        bounds.pop()  # the pixel total, after trailing background
+    return bounds
+
+
+def _intersection(a: list[int], b: list[int], start: int) -> int:
+    """Pixels shared by two masks, from their run bounds: A is the mask whose
+    foreground ends first, and ``start``, before A's last end, is where the
+    span both cover starts. Each list is bisected to the run holding or
+    following ``start`` (an even index: a run's start); two pointers then
+    walk them, each step advancing the run that ends first. B's run advances
+    only while it ends before one of A's, so a next B run always exists and
+    only A's runs need a bound."""
+    i, j = bisect_right(a, start) & -2, bisect_right(b, start) & -2
+    b0, b1 = b[j], b[j + 1]
+    inter = 0
+    runs = islice(a, i, None)
+    for a0, a1 in zip(runs, runs):
+        while b1 < a1:
+            if b1 > a0:
+                inter += b1 - (a0 if a0 > b0 else b0)
+            j += 2
+            b0, b1 = b[j], b[j + 1]
+        if a1 > b0:
+            inter += a1 - (a0 if a0 > b0 else b0)
+    return inter
 
 
 def foreground_intervals(mask: RleMask) -> tuple[np.ndarray, np.ndarray]:
     """Half-open ``[start, end)`` foreground runs in flat column-major index."""
-    start, end, *_ = _run_table([mask])
+    import numpy as np
+    start, end = np.fromiter(_bounds(mask), np.int64).reshape(-1, 2).T.copy()
     start.flags.writeable = end.flags.writeable = False
     return start, end
 
 
-def _slots(masks: list[RleMask]) -> tuple[list[int], list[RleMask]]:
-    """Each item's slot among the distinct mask objects, and those masks."""
-    index: dict[int, int] = {}
-    slot = [index.setdefault(id(m), len(index)) for m in masks]
-    return slot, list({id(m): m for m in masks}.values())
-
-
-def _chunk_intersections(a_masks: list[RleMask], b_masks: list[RleMask]) -> list[int]:
-    """Pair intersections of one chunk. B's runs, keyed ``slot * span + position``,
-    form one sorted sequence; each pair's A runs take its B slot's keys. An A
-    run covers the B foreground below its end key less that below its start."""
-    import numpy as np
-    (a_slot, a_unique), (b_slot, b_unique) = _slots(a_masks), _slots(b_masks)
-    a_start, a_end, _, a_first, a_n = _run_table(a_unique)
-    b_start, b_end, b_owner, _, _ = _run_table(b_unique)
-    span = max(m.height * m.width for m in a_masks)
-    b_start, b_end = b_owner * span + b_start, b_owner * span + b_end
-    below = np.concatenate(([0], np.cumsum(b_end - b_start)))
-    prev_end = np.concatenate(([0], b_end))
-    n = a_n[a_slot]
-    bounds = np.concatenate(([0], np.cumsum(n)))
-    idx = np.arange(bounds[-1]) + np.repeat(a_first[a_slot] - bounds[:-1], n)
-    key = np.stack((a_end[idx], a_start[idx])) + np.repeat(np.array(b_slot) * span, n)
-    k = np.searchsorted(b_start, key, side="right")
-    covered = below[k] - np.maximum(prev_end[k] - key, 0)  # B pixels below each key
-    sums = np.concatenate(([0], np.cumsum(covered[0] - covered[1])))
-    return np.diff(sums[bounds]).tolist()
-
-
 def pair_intersections(a_masks: Sequence[RleMask], b_masks: Sequence[RleMask]) -> list[int]:
-    """Exact foreground intersection of each (a, b) pair of same-size
-    masks, from the run lists, in bounded chunks of pairs."""
-    a_masks, b_masks = list(a_masks), list(b_masks)
+    """Exact foreground intersection of each (a, b) pair of same-size masks,
+    merging their run lists; each distinct mask is listed once."""
+    a_masks, b_masks = list(a_masks), list(b_masks)  # alive, so an id names one mask
+    held: dict[int, list[int]] = {}
+    runs = 0
+
+    def hold(mask: RleMask) -> list[int]:
+        nonlocal runs
+        if runs >= CHUNK_RUNS:
+            held.clear()
+            runs = 0
+        held[id(mask)] = bounds = _bounds(mask)
+        runs += len(bounds) // 2
+        return bounds
+
+    inters = []
     for a, b in zip(a_masks, b_masks, strict=True):
         if a.height != b.height or a.width != b.width:
             raise MaskError(f"mask size mismatch: {a.height}x{a.width} vs {b.height}x{b.width}")
-    runs = [(len(a.counts) + len(b.counts)) // 2 for a, b in zip(a_masks, b_masks)]
-    chunks = _chunks(runs, [m.height * m.width for m in a_masks])
-    return [x for lo, hi in chunks for x in _chunk_intersections(a_masks[lo:hi], b_masks[lo:hi])]
+        (a_start, a_end), (b_start, b_end) = _span(a), _span(b)
+        start = a_start if a_start > b_start else b_start
+        if start >= (a_end if a_end < b_end else b_end):  # spans apart: no run is listed
+            inters.append(0)
+            continue
+        a_bounds, b_bounds = held.get(id(a)), held.get(id(b))
+        if a_bounds is None:
+            a_bounds = hold(a)
+        if b_bounds is None:
+            b_bounds = hold(b)
+        inters.append(_intersection(a_bounds, b_bounds, start) if a_end <= b_end
+                      else _intersection(b_bounds, a_bounds, start))
+    return inters
 
 
 def pair_ious(a_masks: Sequence[RleMask], b_masks: Sequence[RleMask]) -> list[float]:

@@ -1084,11 +1084,15 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
         {"video_id": "vid02", "frame_id": 1, "triplet_id": 50, "score": 0.8, "bbox": [1, 1, 4, 4]},
     ]))
     det_report = tmp_path / "det_report.json"
+    seg_report = tmp_path / "seg_report.json"
     # compare matches and scores both methods in plain Python too, and the
     # Wilcoxon test needs no numpy
     (tmp_path / "rec_b.json").write_text(json.dumps(
         [{**r, "scores": r["scores"][-1:] + r["scores"][:-1]} for r in records]))
     _write_perfect_preds(gt_dir, tmp_path / "perfect.json")
+    # seg masks intersect by merging their run lists in plain Python
+    seg_b = json.loads((tmp_path / "perfect.json").read_text())[1:]
+    (tmp_path / "seg_b.json").write_text(json.dumps(seg_b))
     pipeline = ["--gt", str(gt_dir), "--n-subsets", "2", "--subset-size", "3", "--out"]
     (tmp_path / "values_a.json").write_text("[91.3, 89.9, 90.9, 91.2]")
     (tmp_path / "values_b.json").write_text("[90.0, 90.0, 90.0, 90.0]")
@@ -1105,6 +1109,10 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
              "--mode", "rec", "--averaging", "per_video", "--out", str(report)]),
         (0, ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "det.json"),
              "--mode", "det", "--out", str(det_report)]),
+        (0, ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / "perfect.json"),
+             "--mode", "seg", "--out", str(seg_report)]),
+        (0, ["compare", "--mode", "seg", "--preds-a", str(tmp_path / "perfect.json"),
+             "--preds-b", str(tmp_path / "seg_b.json"), *pipeline, str(tmp_path / "cmp_seg.json")]),
         (0, ["compare", "--mode", "det", "--preds-a", str(tmp_path / "perfect.json"),
              "--preds-b", str(tmp_path / "det.json"), *pipeline, str(tmp_path / "cmp_det.json")]),
         (0, ["compare", "--mode", "rec", "--preds-a", str(tmp_path / "rec.json"),
@@ -1134,6 +1142,7 @@ def test_validate_stats_align_never_load_numpy(gt_dir, tmp_path, schema):
     assert result.returncode == 0, result.stderr
     assert "counts[1] is not an integer" in result.stderr
     assert json.loads(report.read_text())["components"]["IVT"]["mAP"] == 100.0
+    assert json.loads(seg_report.read_text())["components"]["IVT"]["mAP"] == 100.0
     det_ivt = json.loads(det_report.read_text())["components"]["IVT"]
     assert det_ivt["per_class"] == {"0": 50.0, "50": 50.0, "94": 0.0}
     assert det_ivt["mAP"] == pytest.approx(100 / 3)
@@ -1157,8 +1166,8 @@ def test_seg_eval_and_fusion_check_never_load_dataclasses(gt_dir, tmp_path):
         "        sys.exit(f'{argv[0]} failed')\n"
         "    if 'dataclasses' in sys.modules:\n"
         "        sys.exit(f'{argv[0]} loaded dataclasses')\n"
-        "    if argv[0] == 'eval' and 'numpy' not in sys.modules:\n"
-        "        sys.exit('eval --mode seg did not load numpy')\n"
+        "    if argv[0] == 'eval' and 'numpy' in sys.modules:\n"
+        "        sys.exit('eval --mode seg loaded numpy')\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", child, "eval", "--gt", str(gt_dir), "--preds", str(preds),
@@ -1168,12 +1177,9 @@ def test_seg_eval_and_fusion_check_never_load_dataclasses(gt_dir, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_numpy_commands_start_openblas_with_one_thread(gt_dir, tmp_path):
+def test_numpy_commands_start_openblas_with_one_thread(tmp_path):
     # unless OPENBLAS_NUM_THREADS is set, which the CLI keeps; the pool's size
-    # changes no output byte, fusion-check's matmuls included
-    preds_a = _write_perfect_preds(gt_dir, tmp_path / "a.json")
-    preds_b = tmp_path / "b.json"
-    preds_b.write_text(json.dumps(json.loads(preds_a.read_text())[1:]))
+    # changes no output byte of fusion-check's matmuls, the one command on numpy
     child = (
         "import json, os, sys\n"
         "from tripletseg.cli import main\n"
@@ -1190,13 +1196,7 @@ def test_numpy_commands_start_openblas_with_one_thread(gt_dir, tmp_path):
         "        continue\n"
         + ONE_THREAD_CHECK
     )
-    commands = [
-        ["eval", "--gt", str(gt_dir), "--preds", str(preds_a), "--mode", "seg",
-         "--out", "{out}/eval.json"],
-        ["compare", "--gt", str(gt_dir), "--preds-a", str(preds_a), "--preds-b", str(preds_b),
-         "--mode", "seg", "--n-subsets", "3", "--subset-size", "2", "--out", "{out}/cmp.json"],
-        ["fusion-check", "--seed", "0", "--json-out", "{out}/fusion.json"],
-    ]
+    commands = [["fusion-check", "--seed", "0", "--json-out", "{out}/fusion.json"]]
     outputs = {}
     for threads in (None, "2"):
         out = tmp_path / f"out-{threads}"
@@ -1210,20 +1210,20 @@ def test_numpy_commands_start_openblas_with_one_thread(gt_dir, tmp_path):
         )
         assert result.returncode == 0, result.stderr
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert list(outputs[None]) == ["cmp.json", "eval.json", "fusion.json"]
+    assert list(outputs[None]) == ["fusion.json"]
     assert outputs[None] == outputs["2"]
 
 
 def test_library_use_leaves_the_environment_alone():
     # only cli.main caps OpenBLAS's threads; importing the package and
-    # running the numpy kernel changes nothing
+    # decoding a mask with numpy changes nothing
     child = (
         "import os, sys\n"
         "before = dict(os.environ)\n"
-        "from tripletseg.masks import RleMask, pair_ious\n"
+        "from tripletseg.masks import RleMask, rle_decode\n"
         "mask = RleMask(height=4, width=4, counts=(5, 6, 5))\n"
-        "if pair_ious([mask], [mask]) != [1.0] or 'numpy' not in sys.modules:\n"
-        "    sys.exit('pair_ious did not run on numpy')\n"
+        "if rle_decode(mask).sum() != 6 or 'numpy' not in sys.modules:\n"
+        "    sys.exit('rle_decode did not run on numpy')\n"
         "if dict(os.environ) != before:\n"
         "    sys.exit('the environment changed')\n"
     )

@@ -156,7 +156,7 @@ def test_both_count_widths_keep_the_value_contract(size, typecode, itemsize):
 
 
 def test_pair_intersections_over_mixed_count_widths():
-    # one batch, one chunk: 4-byte and 8-byte counts widened into one int64 table
+    # one batch: 4-byte and 8-byte counts, each mask's run list summed in Python ints
     (small, _, _), (large, _, _) = WIDTHS
     pairs = []
     for h, w in (small, large, (5, 4)):
@@ -164,7 +164,6 @@ def test_pair_intersections_over_mixed_count_widths():
         b = RleMask(height=h, width=w, counts=(0, 5, 1, 2, h * w - 8))
         pairs += [(a, b), (b, a), (a, a)]
     assert {a.counts.typecode for a, _ in pairs} == {"I", "q"}
-    assert len(list(masks._chunks([3] * len(pairs), [a.height * a.width for a, _ in pairs]))) == 1
     batched = pair_intersections([a for a, _ in pairs], [b for _, b in pairs])
     assert batched == [pair_intersections([a], [b])[0] for a, b in pairs]
     assert batched == [4, 4, 7] * 3
@@ -554,13 +553,74 @@ def test_mask_boxes_match_bitmaps(rng, monkeypatch, chunk_runs):
             assert (box.x, box.y, box.w, box.h) == bitmap_bbox(rle_decode(mask))
 
 
-def test_run_table_restarts_sum_per_mask():
-    # two 2**62-pixel masks: a running sum over both would reach 2**63
+def test_2_62_pixel_masks_list_and_intersect_exactly():
+    # two 2**62-pixel masks: int64 intervals, and Python ints in the merge
     full = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
     half = RleMask(height=BIG, width=BIG, counts=(2**61, 2**61))
-    start, end, owner, first, n = masks._run_table([full, half])
-    assert (start.tolist(), end.tolist()) == ([0, 2**61], [2**62, 2**62])
-    assert (owner.tolist(), first.tolist(), n.tolist()) == ([0, 1], [0, 1], [1, 1])
+    assert [x.tolist() for x in foreground_intervals(full)] == [[0], [2**62]]
+    assert [x.tolist() for x in foreground_intervals(half)] == [[2**61], [2**62]]
+    assert pair_intersections([full, half, half, full], [half, full, half, full]) == [
+        2**61, 2**61, 2**61, 2**62]
+
+
+@st.composite
+def _bounds(draw, lo, hi, first=None, last=None):
+    """Sorted run bounds in ``[lo, hi]``: start, end, start, ... One
+    foreground pixel or more per run, and background between runs."""
+    inner = draw(st.sets(st.integers(lo, hi), max_size=10))
+    bounds = sorted(inner | {b for b in (first, last) if b is not None})
+    if len(bounds) % 2:  # drop the last bound not given, else all
+        free = [b for b in bounds if b not in (first, last)]
+        bounds = [b for b in bounds if b != free[-1]] if free else []
+    return bounds
+
+
+def _from_bounds(height, width, bounds):
+    counts = [y - x for x, y in zip([0, *bounds], [*bounds, height * width])]
+    if len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return RleMask(height=height, width=width, counts=counts)
+
+
+@st.composite
+def _mask_pairs(draw):
+    """Two masks of one size, B placed against A: anywhere, on A's span,
+    touching its end at one index, after it, or inside it. Bounds at 0 and at
+    the pixel total give leading foreground and foreground through the last
+    pixel; heights up to 8 give several runs in one column."""
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = height * width
+    a = draw(_bounds(0, n))
+    kind = draw(st.sampled_from(["any", "span", "touch", "after", "inside"]))
+    if not a or kind == "any":
+        b = draw(_bounds(0, n))
+    elif kind == "span":
+        b = draw(_bounds(a[0], a[-1], first=a[0], last=a[-1]))
+    elif kind == "touch":
+        b = draw(_bounds(a[-1], n, first=a[-1])) if a[-1] < n else []
+    elif kind == "after":
+        b = draw(_bounds(a[-1] + 1, n)) if a[-1] < n else []
+    else:
+        b = draw(_bounds(a[0] + 1, a[-1] - 1)) if a[-1] - a[0] > 1 else []
+    return _from_bounds(height, width, a), _from_bounds(height, width, b)
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None, database=None)
+@given(_mask_pairs())
+def test_merged_intersections_match_bitmaps(pair):
+    a, b = pair
+    bitmaps = {m: naive_rle_decode(m.height, m.width, list(m.counts)) for m in pair}
+    pairs = [(a, b), (b, a), (a, a), (b, b)]
+    expected = [bitmap_intersection_union(bitmaps[x], bitmaps[y])[0] for x, y in pairs]
+    assert pair_intersections([x for x, _ in pairs], [y for _, y in pairs]) == expected
+
+
+def test_pair_intersections_of_masks_made_on_the_fly():
+    # a mask dropped after its pair may leave its id to the next one
+    def made(shift):
+        return (RleMask(height=4, width=4, counts=(k + shift, 16 - k - shift))
+                for k in range(1, 9))
+    assert pair_intersections(made(0), made(1)) == list(range(14, 6, -1))
 
 
 def test_batched_kernel_errors():
