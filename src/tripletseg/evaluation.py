@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
 from .errors import EvaluationError, SchemaError
-from .masks import BBox, RleMask, box_iou, mask_boxes, pair_ious
+from .masks import BBox, RleMask, box_iou, iou_matrix, mask_boxes
 from .schema import COMPONENTS, ComponentKey, TripletSchema
 
 if TYPE_CHECKING:
@@ -301,9 +301,10 @@ def _match_grounded(
     """Ground truth consists of the grounded instances (those carrying a
     triplet assignment). Predictions on frames absent from the ground
     truth are warned about and scored as false positives in their stated
-    frame. Seg scores masks, det boxes alone. IoU is computed once per
-    (prediction, GT) pair of a frame, all frames in one batch; each
-    component's greedy pass skips cross-class pairs."""
+    frame. Seg scores masks, det boxes alone. Each frame's predictions,
+    in score order, get one IoU row over that frame's GT, computed once and
+    shared by every component; each component's greedy pass skips
+    cross-class pairs."""
     gt_by_frame: dict[FrameKey, list[tuple[int, RleMask | BBox]]] = {}
     frame_size: dict[FrameKey, tuple[int, int]] = {}
     for rec in gt_frames:
@@ -341,26 +342,22 @@ def _match_grounded(
     pred_cols = classes([preds[i].triplet_id for d in dets for i in d])
     scores = [preds[i].score for d in dets for i in d]
 
-    # rows in descending score order, ties keeping input order
-    orders = [sorted(range(len(d)), key=lambda p: -preds[d[p]].score) if g else []
-              for g, d in zip(gts, dets)]
-    pair_pred = [geom[d[p]] for g, d, order in zip(gts, dets, orders) for p in order for _ in g]
-    pair_gt = [m for g, order in zip(gts, orders) for _ in order for _, m in g]
-    ious = (pair_ious(pair_pred, pair_gt) if config.mode == "seg"
-            else list(map(box_iou, pair_pred, pair_gt)))
-
     tp = [[False] * len(scores) for _ in config.components]
-    at = g0 = p0 = 0
-    for g, d, order in zip(gts, dets, orders):
-        n, frame_ious = len(g), ious[at:at + len(order) * len(g)]
-        cands = [[(j, iou) for j, iou in enumerate(frame_ious[i * n:i * n + n])
-                  if iou >= config.iou_threshold] for i in range(len(order))]
+    g0 = p0 = 0
+    for g, d in zip(gts, dets):
+        # rows in descending score order, ties keeping input order
+        order = sorted(range(len(d)), key=lambda p: -preds[d[p]].score) if g else []
+        pred_geom, gt_geom = [geom[d[p]] for p in order], [m for _, m in g]
+        ious = (iou_matrix(pred_geom, gt_geom) if config.mode == "seg"
+                else [[box_iou(b, m) for m in gt_geom] for b in pred_geom])
+        cands = [[(j, iou) for j, iou in enumerate(row) if iou >= config.iou_threshold]
+                 for row in ious]
         for g_col, p_col, c_tp in zip(gt_cols, pred_cols, tp) if any(cands) else ():
             flags = _greedy([[(j, iou) for j, iou in row if p_col[p0 + p] == g_col[g0 + j]]
                              for p, row in zip(order, cands)])
             for p in compress(order, flags):
                 c_tp[p0 + p] = True
-        at, g0, p0 = at + len(frame_ious), g0 + n, p0 + len(d)
+        g0, p0 = g0 + len(g), p0 + len(d)
 
     frame = [f for f, d in enumerate(dets) for _ in d]
     gt_frame = [f for f, g in enumerate(gts) for _ in g]

@@ -6,9 +6,10 @@ background. A mask that begins with foreground therefore has a leading
 zero count. Canonical form allows a zero count only at index 0 and never
 a trailing zero, so encodings are unique and comparable.
 
-IoU between two masks is computed exactly by merging their run lists in
-plain Python integers; masks are never materialised as pixel arrays for
-that purpose. Counts are checked and boxes computed in plain Python too.
+IoU is computed exactly, one matrix between two lists of masks, by merging
+run lists in plain Python integers; each mask's runs are listed at most
+once per matrix, and masks are never materialised as pixel arrays for that
+purpose. Counts are checked and boxes computed in plain Python too.
 Only ``foreground_intervals``, ``rle_decode`` and ``rle_encode`` load numpy.
 
 A validated mask stores its counts in one ``array('I')``, 4 bytes per count
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import suppress
 from itertools import accumulate, islice, repeat
 from operator import add, mod
@@ -184,11 +185,6 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     return RleMask(height=h, width=w, counts=counts)
 
 
-# Runs held at once in `pair_intersections`: each distinct mask's run bounds are
-# listed once and kept until they reach this many, so memory stays flat.
-CHUNK_RUNS = 1 << 14
-
-
 def _span(mask: RleMask) -> tuple[int, int]:
     """First foreground pixel and one past the last, in flat column-major
     index, from the first and last counts. An empty mask's span is empty."""
@@ -236,59 +232,57 @@ def foreground_intervals(mask: RleMask) -> tuple[np.ndarray, np.ndarray]:
     return start, end
 
 
-def pair_intersections(a_masks: Sequence[RleMask], b_masks: Sequence[RleMask]) -> list[int]:
+def intersection_matrix(a_masks: Iterable[RleMask], b_masks: Iterable[RleMask]) -> list[list[int]]:
     """Exact foreground intersection of each (a, b) pair of same-size masks,
-    merging their run lists; each distinct mask is listed once."""
+    one row per ``a``, by merging run lists. A pair whose spans are apart
+    lists no run, and each mask's runs are listed at most once."""
     a_masks, b_masks = list(a_masks), list(b_masks)  # alive, so an id names one mask
     held: dict[int, list[int]] = {}
-    runs = 0
-
-    def hold(mask: RleMask) -> list[int]:
-        nonlocal runs
-        if runs >= CHUNK_RUNS:
-            held.clear()
-            runs = 0
-        held[id(mask)] = bounds = _bounds(mask)
-        runs += len(bounds) // 2
-        return bounds
-
-    inters = []
-    for a, b in zip(a_masks, b_masks, strict=True):
-        if a.height != b.height or a.width != b.width:
-            raise MaskError(f"mask size mismatch: {a.height}x{a.width} vs {b.height}x{b.width}")
-        (a_start, a_end), (b_start, b_end) = _span(a), _span(b)
-        start = a_start if a_start > b_start else b_start
-        if start >= (a_end if a_end < b_end else b_end):  # spans apart: no run is listed
-            inters.append(0)
-            continue
-        a_bounds, b_bounds = held.get(id(a)), held.get(id(b))
-        if a_bounds is None:
-            a_bounds = hold(a)
-        if b_bounds is None:
-            b_bounds = hold(b)
-        inters.append(_intersection(a_bounds, b_bounds, start) if a_end <= b_end
-                      else _intersection(b_bounds, a_bounds, start))
-    return inters
+    b_spans = list(map(_span, b_masks))
+    rows = []
+    for a in a_masks:
+        (a_start, a_end), row = _span(a), []
+        for b, (b_start, b_end) in zip(b_masks, b_spans):
+            if a.height != b.height or a.width != b.width:
+                raise MaskError(
+                    f"mask size mismatch: {a.height}x{a.width} vs {b.height}x{b.width}")
+            start = a_start if a_start > b_start else b_start
+            if start >= (a_end if a_end < b_end else b_end):  # spans apart
+                row.append(0)
+                continue
+            a_bounds, b_bounds = held.get(id(a)), held.get(id(b))
+            if a_bounds is None:
+                a_bounds = held[id(a)] = _bounds(a)
+            if b_bounds is None:
+                b_bounds = held[id(b)] = _bounds(b)
+            row.append(_intersection(a_bounds, b_bounds, start) if a_end <= b_end
+                       else _intersection(b_bounds, a_bounds, start))
+        rows.append(row)
+    return rows
 
 
-def pair_ious(a_masks: Sequence[RleMask], b_masks: Sequence[RleMask]) -> list[float]:
-    """IoU of each (a, b) pair. Exactly one empty mask gives 0.0."""
-    inters = pair_intersections(a_masks, b_masks)
-    unions = [a.area + b.area - i for a, b, i in zip(a_masks, b_masks, inters)]
-    if 0 in unions:
-        raise MaskError("IoU of two empty masks is undefined")
-    return [i / u for i, u in zip(inters, unions)]
+def iou_matrix(a_masks: Iterable[RleMask], b_masks: Iterable[RleMask]) -> list[list[float]]:
+    """IoU of each (a, b) pair, one row per ``a``. Exactly one empty mask gives 0.0."""
+    a_masks, b_masks = list(a_masks), list(b_masks)
+    rows = []
+    for a, inters in zip(a_masks, intersection_matrix(a_masks, b_masks)):
+        unions = [a.area + b.area - i for b, i in zip(b_masks, inters)]
+        if 0 in unions:
+            raise MaskError("IoU of two empty masks is undefined")
+        rows.append([i / u for i, u in zip(inters, unions)])
+    return rows
 
 
 def mask_intersection_union(a: RleMask, b: RleMask) -> tuple[int, int]:
     """Exact intersection and union pixel counts of two same-size masks."""
-    (inter,) = pair_intersections([a], [b])
+    [[inter]] = intersection_matrix([a], [b])
     return inter, a.area + b.area - inter
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
     """Intersection over union. Exactly one empty mask gives 0.0."""
-    return pair_ious([a], [b])[0]
+    [[iou]] = iou_matrix([a], [b])
+    return iou
 
 
 def mask_boxes(masks: Sequence[RleMask]) -> list[BBox]:

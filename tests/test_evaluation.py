@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -30,8 +30,7 @@ from tripletseg.evaluation import (
     match_from_matrix,
     score,
 )
-from tripletseg import masks
-from tripletseg.masks import BBox, box_iou, mask_iou, mask_to_bbox
+from tripletseg.masks import BBox, RleMask, box_iou, mask_iou, mask_to_bbox
 from tripletseg.schema import COMPONENTS, TripletSchema
 
 H, W = 16, 16
@@ -409,7 +408,7 @@ def _reference_tp(frames, preds, config, schema):
 
 
 @pytest.mark.parametrize("mode", ["seg", "det"])
-def test_chunking_cannot_change_a_report(schema, rng, monkeypatch, mode):
+def test_match_flags_equal_a_per_frame_reference(schema, rng, mode):
     frames, preds = _tied_dataset(rng, schema, with_bbox_only=mode == "det")
     assert len({d.score for d in preds}) < len(preds)
     assert any(d.frame_id >= 100 for d in preds)
@@ -424,17 +423,8 @@ def test_chunking_cannot_change_a_report(schema, rng, monkeypatch, mode):
                for k in range(len(schema.class_keys[comp]))]
         for comp, flags in reference.items()
     }
-    reports = []
-    for chunk_runs in (1, 7, masks.CHUNK_RUNS):
-        monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
-        table = match(frames, preds, EvalConfig(mode=mode), schema)
-        assert {comp: rows.tp for comp, rows in table.rows.items()} == reference
-        reports.append([
-            json.dumps(evaluate(frames, preds, EvalConfig(mode=mode, averaging=averaging),
-                                schema).to_json_dict())
-            for averaging in ("pooled", "per_video")
-        ])
-    assert reports[0] == reports[1] == reports[2]
+    table = match(frames, preds, EvalConfig(mode=mode), schema)
+    assert {comp: rows.tp for comp, rows in table.rows.items()} == reference
 
 
 def test_parallel_jobs_identical_report(schema, rng):
@@ -861,6 +851,125 @@ def test_grounded_per_video_matches_oracle_with_ties(schema, rng, mode):
                 videos_of.setdefault(g.triplet_id, set()).add(r.video_id)
         shared += sum(len(videos) > 1 for videos in videos_of.values())
     assert shared > 0
+
+
+@st.composite
+def grounded_problems(draw):
+    """Seg/det frames of one small size over up to three videos. A GT mask
+    is a rectangle, often the previous GT instance moved a column right,
+    class and all. A predicted mask is a rectangle, empty, a copy of a GT
+    instance, or the overlap of two GT instances one column apart, which
+    ties its IoU with both. A prediction's box, if it has one, is its
+    rectangle's, so det mode boxes some predictions from their masks; an
+    empty mask always comes with a box. Many boxes meet no GT box. Some GT
+    instances are ungrounded, some frames hold no GT or nothing at all,
+    some predictions lie on frames absent from the ground truth, and scores
+    tie often."""
+    height, width = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+
+    def rect():  # (y, x, h, w)
+        y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        return y, x, draw(st.integers(1, height - y)), draw(st.integers(1, width - x))
+
+    tids = st.sampled_from(sorted(SMALL_TRIPLETS))
+    frames, gt = [], {}
+    for f, video in enumerate(draw(st.lists(st.sampled_from("abc"), max_size=6))):
+        items = gt[(video, f)] = []  # (rectangle, triplet id)
+        for _ in range(draw(st.integers(0, 3))):
+            if items and items[-1][0][1] + items[-1][0][3] < width and draw(st.booleans()):
+                (y, x, h, w), tid = items[-1]
+                items.append(((y, x + 1, h, w), tid))  # moved a column right
+            else:
+                items.append((rect(), draw(tids | st.none())))
+        instances = tuple(
+            GroundedInstance(instance_id=i, instrument_id=0, triplet_id=tid,
+                             mask=rect_rle(height, width, *r))
+            for i, (r, tid) in enumerate(items))
+        frames.append(FrameRecord(
+            video_id=video, frame_id=f, width=width, height=height, instances=instances,
+            frame_triplets=tuple(sorted(g.triplet_id for g in instances
+                                        if g.triplet_id is not None))))
+    keys = list(gt)
+    keys += [(draw(st.sampled_from("az")), 100 + k) for k in range(draw(st.integers(0, 2)))]
+    preds = []
+    for key in keys:
+        items = gt.get(key, [])
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["rect", "copy", "overlap", "empty"]))
+            r, tid = rect(), None
+            if kind == "copy" and items:
+                r, tid = draw(st.sampled_from(items))
+            elif kind == "overlap" and len(items) > 1:
+                i = draw(st.integers(1, len(items) - 1))
+                (y, x, h, w), tid = items[i]
+                if items[i - 1][0] == (y, x - 1, h, w) and w > 1:
+                    r = (y, x, h, w - 1)
+            if tid is None or not draw(st.integers(0, 3)):  # a copy's class, mostly
+                tid = draw(tids)
+            empty = kind == "empty"
+            mask = (RleMask(height=height, width=width, counts=(height * width,)) if empty
+                    else rect_rle(height, width, *r))
+            bbox = BBox(x=r[1], y=r[0], w=r[3], h=r[2]) if empty or draw(st.booleans()) else None
+            preds.append(DetectionRecord(video_id=key[0], frame_id=key[1], triplet_id=tid,
+                                         score=draw(TIED_SCORES), mask=mask, bbox=bbox))
+    return frames, draw(st.permutations(preds))
+
+
+def _iou_tie_problem():
+    """The first prediction ties two GT instances at IoU 0.5 and the second
+    meets only the first GT at the threshold, so the GT the tie takes sets
+    the AP: 50 when it takes the lowest GT index."""
+    gt = tuple(GroundedInstance(instance_id=x, instrument_id=0, triplet_id=0,
+                                mask=rect_rle(1, 3, 0, x, 1, 2)) for x in (0, 1))
+    frame = FrameRecord(video_id="a", frame_id=0, width=3, height=1, instances=gt,
+                        frame_triplets=(0, 0))
+    preds = [_det("a", 0, 0, 0.9, mask=rect_rle(1, 3, 0, 1, 1, 1), bbox=BBox(x=1, y=0, w=1, h=1)),
+             _det("a", 0, 0, 0.5, mask=gt[0].mask)]
+    return [frame], preds
+
+
+@pytest.mark.parametrize("mode", ["seg", "det"])
+@given(problem=grounded_problems())
+@example(problem=_iou_tie_problem())
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_grounded_matches_oracle_on_drawn_problems(mode, problem):
+    frames, preds = problem
+    # the oracle scores GT frames only; an empty GT frame (the oracle reads
+    # no frame size) for each frame absent from the ground truth makes its
+    # predictions false positives there
+    known = {(r.video_id, r.frame_id) for r in frames}
+    padded = frames + [
+        FrameRecord(video_id=v, frame_id=f, width=0, height=0, instances=(), frame_triplets=())
+        for v, f in sorted({(d.video_id, d.frame_id) for d in preds} - known)]
+    for averaging in ("pooled", "per_video"):
+        report = evaluate(frames, preds, EvalConfig(mode=mode, averaging=averaging),
+                          SMALL_SCHEMA)
+        want = (
+            {comp: res["per_class"] for comp, res in oracle_grounded_eval(
+                padded, preds, mode, 0.5, COMPONENTS, SMALL_SCHEMA).items()}
+            if averaging == "pooled"
+            else _per_video_oracle(padded, preds, mode, COMPONENTS, SMALL_SCHEMA))
+        for comp in COMPONENTS:
+            got = report.components[comp]
+            assert got.per_class.keys() == want[comp].keys()
+            for key, value in want[comp].items():
+                assert got.per_class[key] == pytest.approx(value, abs=1e-9)
+            m_ap = sum(want[comp].values()) / len(want[comp]) if want[comp] else 0.0
+            assert got.mAP == pytest.approx(m_ap, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["seg", "det"])
+@given(problem=grounded_problems(), data=st.data())
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+def test_permuted_predictions_give_the_same_report(mode, problem, data):
+    frames, preds = problem
+    ranks = data.draw(st.permutations(range(len(preds))))
+    preds = [d._replace(score=(r + 1) / (len(preds) + 1)) for d, r in zip(preds, ranks)]
+    shuffled = data.draw(st.permutations(preds))
+    for averaging in ("pooled", "per_video"):
+        config = EvalConfig(mode=mode, averaging=averaging)
+        assert (json.dumps(evaluate(frames, shuffled, config, SMALL_SCHEMA).to_json_dict())
+                == json.dumps(evaluate(frames, preds, config, SMALL_SCHEMA).to_json_dict()))
 
 
 # report shape

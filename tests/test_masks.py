@@ -21,19 +21,18 @@ from oracles import (
     naive_rle_encode,
 )
 from synth import random_bitmap, random_blob, rect_rle
-from tripletseg import masks
 from tripletseg.errors import MaskError
 from tripletseg.masks import (
     BBox,
     RleMask,
     box_iou,
     foreground_intervals,
+    intersection_matrix,
+    iou_matrix,
     mask_boxes,
     mask_intersection_union,
     mask_iou,
     mask_to_bbox,
-    pair_intersections,
-    pair_ious,
     rle_decode,
     rle_encode,
 )
@@ -155,18 +154,20 @@ def test_both_count_widths_keep_the_value_contract(size, typecode, itemsize):
     assert repr(ref) == f"RleMask(height={h}, width={w}, counts=(5, {h * w - 6}, 1))"
 
 
-def test_pair_intersections_over_mixed_count_widths():
-    # one batch: 4-byte and 8-byte counts, each mask's run list summed in Python ints
+def test_intersection_matrix_over_mixed_count_widths():
+    # 4-byte and 8-byte counts, each mask's run list summed in Python ints
     (small, _, _), (large, _, _) = WIDTHS
-    pairs = []
+    typecodes = set()
     for h, w in (small, large, (5, 4)):
         a = RleMask(height=h, width=w, counts=(3, 7, h * w - 10))
         b = RleMask(height=h, width=w, counts=(0, 5, 1, 2, h * w - 8))
-        pairs += [(a, b), (b, a), (a, a)]
-    assert {a.counts.typecode for a, _ in pairs} == {"I", "q"}
-    batched = pair_intersections([a for a, _ in pairs], [b for _, b in pairs])
-    assert batched == [pair_intersections([a], [b])[0] for a, b in pairs]
-    assert batched == [4, 4, 7] * 3
+        typecodes |= {a.counts.typecode, b.counts.typecode}
+        pairs = [(a, b), (b, a), (a, a)]
+        matrix = intersection_matrix([x for x, _ in pairs], [y for _, y in pairs])
+        assert [matrix[i][i] for i in range(3)] == [
+            intersection_matrix([x], [y])[0][0] for x, y in pairs] == [4, 4, 7]
+        assert matrix == [[4, 7, 7], [7, 4, 4], [4, 7, 7]]
+    assert typecodes == {"I", "q"}
 
 
 def test_full_2_62_pixel_mask_packs():
@@ -495,37 +496,38 @@ def _kernel_pairs(rng):
     return pairs
 
 
-@pytest.mark.parametrize("chunk_runs", [1, 7, masks.CHUNK_RUNS])
-def test_pair_kernels_match_bitmaps(rng, monkeypatch, chunk_runs):
-    monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
+def test_matrix_kernels_match_bitmaps(rng):
     pairs = _kernel_pairs(rng)
     big_a = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
     big_b = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
-    small = len(pairs)
     pairs += [(big_a, big_b), (big_b, big_a), (big_a, big_a)]
-    pairs += _kernel_pairs(rng)[:5]  # small masks after the big ones
+    pairs += _kernel_pairs(rng)[:5]
 
-    inters = pair_intersections([a for a, _ in pairs], [b for _, b in pairs])
-    expected = [
-        bitmap_intersection_union(rle_decode(a), rle_decode(b))[0]
-        for a, b in pairs[:small] + pairs[small + 3:]
-    ]
-    assert inters[:small] + inters[small + 3:] == expected
-    assert inters[small:small + 3] == [2**62] * 3
-
-    scored = [(a, b) for a, b in pairs if a.area or b.area]
-    ious = pair_ious([a for a, _ in scored], [b for _, b in scored])
-    for (a, b), iou in zip(scored, ious):
-        if a.height == BIG:
-            assert iou == 1.0
+    # one matrix per mask size: every a of that size against every b
+    by_size = {}
+    for a, b in pairs:
+        a_masks, b_masks = by_size.setdefault((a.height, a.width), ([], []))
+        a_masks.append(a)
+        b_masks.append(b)
+    for a_masks, b_masks in by_size.values():
+        inters = intersection_matrix(a_masks, b_masks)
+        if a_masks[0].height == BIG:
+            assert inters == [[2**62] * 3] * 3
         else:
-            inter, union = bitmap_intersection_union(rle_decode(a), rle_decode(b))
-            assert iou == inter / union
+            assert inters == [[bitmap_intersection_union(rle_decode(a), rle_decode(b))[0]
+                               for b in b_masks] for a in a_masks]
+
+    for a, b in pairs:
+        if a.area or b.area:
+            [[iou]] = iou_matrix([a], [b])
+            if a.height == BIG:
+                assert iou == 1.0
+            else:
+                inter, union = bitmap_intersection_union(rle_decode(a), rle_decode(b))
+                assert iou == inter / union
 
 
-@pytest.mark.parametrize("chunk_runs", [1, 7, masks.CHUNK_RUNS])
-def test_mask_boxes_match_bitmaps(rng, monkeypatch, chunk_runs):
-    monkeypatch.setattr(masks, "CHUNK_RUNS", chunk_runs)
+def test_mask_boxes_match_bitmaps(rng):
     items = [m for pair in _kernel_pairs(rng) for m in pair if m.area]
     items += [
         RleMask(height=1, width=6, counts=(2, 3, 1)),  # height 1
@@ -559,8 +561,7 @@ def test_2_62_pixel_masks_list_and_intersect_exactly():
     half = RleMask(height=BIG, width=BIG, counts=(2**61, 2**61))
     assert [x.tolist() for x in foreground_intervals(full)] == [[0], [2**62]]
     assert [x.tolist() for x in foreground_intervals(half)] == [[2**61], [2**62]]
-    assert pair_intersections([full, half, half, full], [half, full, half, full]) == [
-        2**61, 2**61, 2**61, 2**62]
+    assert intersection_matrix([full, half], [full, half]) == [[2**62, 2**61], [2**61, 2**61]]
 
 
 @st.composite
@@ -608,19 +609,26 @@ def _mask_pairs(draw):
 @settings(max_examples=1500, derandomize=True, deadline=None, database=None)
 @given(_mask_pairs())
 def test_merged_intersections_match_bitmaps(pair):
-    a, b = pair
+    # the full 2 x 2 matrix of (a, b): (a, b), (b, a), (a, a) and (b, b)
     bitmaps = {m: naive_rle_decode(m.height, m.width, list(m.counts)) for m in pair}
-    pairs = [(a, b), (b, a), (a, a), (b, b)]
-    expected = [bitmap_intersection_union(bitmaps[x], bitmaps[y])[0] for x, y in pairs]
-    assert pair_intersections([x for x, _ in pairs], [y for _, y in pairs]) == expected
+    expected = [[bitmap_intersection_union(bitmaps[x], bitmaps[y])[0] for y in pair]
+                for x in pair]
+    assert intersection_matrix(pair, pair) == expected
 
 
-def test_pair_intersections_of_masks_made_on_the_fly():
-    # a mask dropped after its pair may leave its id to the next one
+def test_matrix_of_masks_made_on_the_fly():
+    # generators are accepted; a mask dropped after its row may leave its id
+    # to the next one
     def made(shift):
         return (RleMask(height=4, width=4, counts=(k + shift, 16 - k - shift))
                 for k in range(1, 9))
-    assert pair_intersections(made(0), made(1)) == list(range(14, 6, -1))
+    expected = [[16 - max(i, j + 1) for j in range(1, 9)] for i in range(1, 9)]
+    inters = intersection_matrix(made(0), made(1))
+    assert [inters[i][i] for i in range(8)] == list(range(14, 6, -1))
+    assert inters == expected
+    assert iou_matrix(made(0), made(1)) == [
+        [inter / (16 - min(i, j + 1)) for j, inter in enumerate(row, 1)]
+        for i, row in enumerate(expected, 1)]
 
 
 def test_batched_kernel_errors():
@@ -628,11 +636,12 @@ def test_batched_kernel_errors():
     empty = RleMask(height=2, width=2, counts=(4,))
     wide = RleMask(height=2, width=3, counts=(0, 6))
     with pytest.raises(MaskError, match=r"^mask size mismatch: 2x2 vs 2x3$"):
-        pair_intersections([full, full], [full, wide])
+        intersection_matrix([full], [full, wide])
     with pytest.raises(MaskError, match=r"^mask size mismatch: 2x3 vs 2x2$"):
-        pair_ious([full, wide], [full, full])
+        iou_matrix([full, wide], [full])
     with pytest.raises(MaskError, match=r"^IoU of two empty masks is undefined$"):
-        pair_ious([full, empty], [full, empty])
+        iou_matrix([full, empty], [full, empty])
     with pytest.raises(MaskError, match=r"^cannot take bounding box of an empty mask$"):
         mask_boxes([full, empty])
-    assert pair_ious([], []) == [] and mask_boxes([]) == []
+    assert iou_matrix([], []) == [] and iou_matrix([full], []) == [[]]
+    assert mask_boxes([]) == []
