@@ -496,7 +496,16 @@ def _kernel_pairs(rng):
     return pairs
 
 
-def test_matrix_kernels_match_bitmaps(rng):
+def _batched(items, batch):
+    return [items[i:i + batch] for i in range(0, len(items), batch)]
+
+
+# rows split over calls of 1, 7 or 16384 masks: no state crosses calls
+BATCHES = [1, 7, 16384]
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_pair_kernels_match_bitmaps(rng, batch):
     pairs = _kernel_pairs(rng)
     big_a = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
     big_b = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
@@ -510,7 +519,8 @@ def test_matrix_kernels_match_bitmaps(rng):
         a_masks.append(a)
         b_masks.append(b)
     for a_masks, b_masks in by_size.values():
-        inters = intersection_matrix(a_masks, b_masks)
+        inters = [row for part in _batched(a_masks, batch)
+                  for row in intersection_matrix(part, b_masks)]
         if a_masks[0].height == BIG:
             assert inters == [[2**62] * 3] * 3
         else:
@@ -527,7 +537,8 @@ def test_matrix_kernels_match_bitmaps(rng):
                 assert iou == inter / union
 
 
-def test_mask_boxes_match_bitmaps(rng):
+@pytest.mark.parametrize("batch", BATCHES)
+def test_mask_boxes_match_bitmaps(rng, batch):
     items = [m for pair in _kernel_pairs(rng) for m in pair if m.area]
     items += [
         RleMask(height=1, width=6, counts=(2, 3, 1)),  # height 1
@@ -545,7 +556,7 @@ def test_mask_boxes_match_bitmaps(rng):
     ]
     big = RleMask(height=BIG, width=BIG, counts=(0, 2**62))
     items[10:10] = [big, big]
-    boxes = mask_boxes(items)
+    boxes = [box for part in _batched(items, batch) for box in mask_boxes(part)]
     assert len(boxes) == len(items)
     for mask, box in zip(items, boxes):
         assert {type(v) for v in (box.x, box.y, box.w, box.h)} == {int}
