@@ -158,11 +158,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     config = _build_eval_config(args, args.components)
     frames = dataset_io.read_ground_truth(args.gt, schema)
-    preds = dataset_io.read_predictions(args.preds, args.mode, schema)
-    # the checks match makes, run first so that an error names the file; the
-    # frame sizes are built in the call, so they are freed before matching
-    evaluation.check_predictions(args.preds, preds, args.mode,
-                                 {(r.video_id, r.frame_id): (r.height, r.width) for r in frames})
+    # each record passes the checks match makes as it is read, so an error
+    # names the file; the frame sizes are built in the call, so they are freed
+    # before matching
+    preds = dataset_io.read_predictions(
+        args.preds, args.mode, schema,
+        {(r.video_id, r.frame_id): (r.height, r.width) for r in frames})
     report = evaluation.evaluate(frames, preds, config, schema)
     print(report.render_table())
     if args.out:
@@ -204,15 +205,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         frame_keys = [(r.video_id, r.frame_id) for r in frames]
         partition = stats.partition_frames(frame_keys, args.n_subsets, args.subset_size, args.seed)
         # keep only what lies on frames a subset scores, as soon as each file
-        # is read and checked whole, so A's other records go before B is read;
-        # a mask or box must fit a scored frame, the only frames matched
+        # is read, with every record checked, so A's other records go before B
+        # is read; a mask or box must fit a scored frame, the only frames matched
         used = {key for subset in partition.subsets for key in subset}
         frames = [r for r in frames if (r.video_id, r.frame_id) in used]
         sizes = {(r.video_id, r.frame_id): (r.height, r.width) for r in frames}
 
         def read(path: str) -> list:
-            preds = dataset_io.read_predictions(path, args.mode, schema)
-            evaluation.check_predictions(path, preds, args.mode, sizes)
+            preds = dataset_io.read_predictions(path, args.mode, schema, sizes)
             return [p for p in preds if (p.video_id, p.frame_id) in used]
 
         preds_a, preds_b = read(args.preds_a), read(args.preds_b)

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .errors import DatasetError
+from .errors import DatasetError, EvaluationError
 from .masks import BBox, MaskError, RleMask
 from .schema import TripletSchema
 
@@ -452,6 +452,39 @@ def _parse_detection(
     )
 
 
+def pred_geometry(
+    index: int, det: DetectionRecord, mode: str, frame_size: tuple[int, int] | None
+) -> RleMask | BBox:
+    """A seg/det prediction's own geometry, checked before any IoU is
+    computed: its det bbox, else its mask. A mask or det box must fit its
+    ground-truth frame (if the frame is known), and a det prediction without
+    a box needs a non-empty mask. EvaluationError names the record by
+    ``index``."""
+    where = f"prediction {index} ({det.video_id}, {det.frame_id}) triplet {det.triplet_id}"
+    if mode == "det" and det.bbox is not None:
+        box = det.bbox
+        if frame_size is not None and (
+            box.y + box.h > frame_size[0] or box.x + box.w > frame_size[1]
+        ):
+            raise EvaluationError(
+                f"{where}: bbox [{box.x}, {box.y}, {box.w}, {box.h}] does not fit "
+                f"frame size {frame_size[0]}x{frame_size[1]}"
+            )
+        return box
+    if det.mask is None:
+        need = "masks" if mode == "seg" else "a mask or a bbox"
+        raise EvaluationError(f"{mode} mode requires {need} on all predictions; {where} has none")
+    size = (det.mask.height, det.mask.width)
+    if frame_size is not None and size != frame_size:
+        raise EvaluationError(
+            f"{where}: mask size {size[0]}x{size[1]} does not match "
+            f"frame size {frame_size[0]}x{frame_size[1]}"
+        )
+    if mode == "det" and len(det.mask.counts) == 1:  # the canonical empty mask
+        raise EvaluationError(f"{where}: empty mask and no bbox")
+    return det.mask
+
+
 def _parse_recognition(
     obj: Any, locus: str, n_classes: int
 ) -> RecognitionRecord:
@@ -478,9 +511,14 @@ def _parse_recognition(
 
 
 def read_predictions(
-    path: str | Path, mode: str, schema: TripletSchema
+    path: str | Path, mode: str, schema: TripletSchema,
+    frame_size: dict[tuple[str, int], tuple[int, int]] | None = None,
 ) -> list[DetectionRecord] | list[RecognitionRecord]:
-    """Load a prediction file for the given evaluation mode."""
+    """Load a prediction file for the given evaluation mode. Given
+    ``frame_size``, the (height, width) of each ground-truth (video_id,
+    frame_id), each seg/det record also passes ``pred_geometry`` right after
+    it is decoded (a frame missing from the map counts as absent from the
+    ground truth), and the EvaluationError names the file."""
     if mode not in ("seg", "det", "rec"):
         raise DatasetError(f"unknown mode {mode!r}")
     # records are decoded and checked one at a time, so with several faults
@@ -499,7 +537,16 @@ def read_predictions(
             seen.add(key)
             records_r.append(rec)
         return records_r
-    return [_parse_detection(obj, f"{path}[{idx}]", schema) for idx, obj in items]
+    records_d = []
+    try:
+        for idx, obj in items:
+            det = _parse_detection(obj, f"{path}[{idx}]", schema)
+            if frame_size is not None:
+                pred_geometry(idx, det, mode, frame_size.get((det.video_id, det.frame_id)))
+            records_d.append(det)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{path}: {exc}") from None
+    return records_d
 
 
 def read_values(path: str | Path) -> list[float]:

@@ -20,7 +20,7 @@ from collections.abc import Collection
 from itertools import compress, count, repeat
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord
+from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord, pred_geometry
 from .errors import EvaluationError, SchemaError
 from .masks import BBox, RleMask, box_iou, iou_matrix, mask_boxes
 from .schema import COMPONENTS, ComponentKey, TripletSchema
@@ -206,55 +206,6 @@ def _average_precision(
     return math.fsum(precision) / gt_count
 
 
-def _pred_geometry(
-    index: int, det: DetectionRecord, mode: str, frame_size: tuple[int, int] | None
-) -> RleMask | BBox:
-    """A prediction's own geometry, checked before any IoU is computed: its
-    det bbox, else its mask. A mask or det box must fit its ground-truth
-    frame (if the frame is known), and a det prediction without a box needs
-    a non-empty mask."""
-    where = f"prediction {index} ({det.video_id}, {det.frame_id}) triplet {det.triplet_id}"
-    if mode == "det" and det.bbox is not None:
-        box = det.bbox
-        if frame_size is not None and (
-            box.y + box.h > frame_size[0] or box.x + box.w > frame_size[1]
-        ):
-            raise EvaluationError(
-                f"{where}: bbox [{box.x}, {box.y}, {box.w}, {box.h}] does not fit "
-                f"frame size {frame_size[0]}x{frame_size[1]}"
-            )
-        return box
-    if det.mask is None:
-        need = "masks" if mode == "seg" else "a mask or a bbox"
-        raise EvaluationError(f"{mode} mode requires {need} on all predictions; {where} has none")
-    size = (det.mask.height, det.mask.width)
-    if frame_size is not None and size != frame_size:
-        raise EvaluationError(
-            f"{where}: mask size {size[0]}x{size[1]} does not match "
-            f"frame size {frame_size[0]}x{frame_size[1]}"
-        )
-    if mode == "det" and len(det.mask.counts) == 1:  # the canonical empty mask
-        raise EvaluationError(f"{where}: empty mask and no bbox")
-    return det.mask
-
-
-def check_predictions(
-    path: str, preds: Sequence[DetectionRecord], mode: str,
-    frame_size: dict[FrameKey, tuple[int, int]],
-) -> None:
-    """Every check ``match`` makes on the seg/det records of a prediction
-    file, by file index, with the file's path in the error; a mask or box
-    must fit the frames of ``frame_size``, and records on other frames are
-    checked as on frames absent from the ground truth."""
-    if mode == "rec":  # read_predictions checks recognition records
-        return
-    try:
-        for index, det in enumerate(preds):
-            _pred_geometry(index, det, mode, frame_size.get((det.video_id, det.frame_id)))
-    except EvaluationError as exc:
-        raise EvaluationError(f"{path}: {exc}") from None
-
-
 class ClassRows(NamedTuple):
     """One component of a match table, per dense class index ``k``: the
     scored rows of class ``k`` (``frame[k]``, ``score[k]``, ``tp[k]``)
@@ -316,7 +267,7 @@ def _match_grounded(
     geom: list[RleMask | BBox] = []
     for index, det in enumerate(preds):
         key = (det.video_id, det.frame_id)
-        geom.append(_pred_geometry(index, det, config.mode, frame_size.get(key)))
+        geom.append(pred_geometry(index, det, config.mode, frame_size.get(key)))
         preds_by_frame.setdefault(key, []).append(index)
     unknown = preds_by_frame.keys() - gt_by_frame.keys()
     if unknown:
@@ -329,11 +280,11 @@ def _match_grounded(
     keys = sorted(gt_by_frame.keys() | preds_by_frame.keys())
     gts = [gt_by_frame.get(k, []) for k in keys]
     dets = [preds_by_frame.get(k, []) for k in keys]
-    if config.mode == "det":  # a GT mask's box; a prediction's own bbox, else its mask's
-        unboxed = [m for g in gts for _, m in g] + [det.mask for det in preds if det.bbox is None]
+    if config.mode == "det":  # a GT mask's box; a prediction's geometry, boxed if a mask
+        unboxed = [m for g in gts for _, m in g] + [m for m in geom if isinstance(m, RleMask)]
         boxes = iter(mask_boxes(unboxed))  # each mask boxed once, in one batch
         gts = [[(tid, next(boxes)) for tid, _ in g] for g in gts]
-        geom = [next(boxes) if det.bbox is None else det.bbox for det in preds]
+        geom = [next(boxes) if isinstance(m, RleMask) else m for m in geom]
 
     def classes(tids: list[int]) -> list[list[int]]:  # one column per component
         return [_class_indices(schema, tids, c) for c in config.components]

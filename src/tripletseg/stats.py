@@ -199,9 +199,8 @@ def wilcoxon_one_sided(
 
     mean = n * (n + 1) / 4.0
     tie_term = sum(t**3 - t for t in ties) / 48.0
+    # at least n(n+1)^2/16 > 0, its value when all n differences tie
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var <= 0.0:
-        raise StatsError("degenerate variance; too many ties for the approximation")
     z = (w - 0.5 - mean) / math.sqrt(var)
     p = 0.5 * math.erfc(z / math.sqrt(2.0))
     return WilcoxonResult(

@@ -166,7 +166,7 @@ def test_eval_output_byte_stable_and_jobs_invariant(gt_dir, tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("mode, frame_id, geometry, message", [
+BAD_GEOMETRY = [
     ("seg", 1, {"mask": {"size": [10, 10], "counts": [0, 100]}},
      "mask size 10x10 does not match frame size 16x16"),
     ("det", 1, {"mask": {"size": [10, 10], "counts": [0, 100]}},
@@ -176,7 +176,11 @@ def test_eval_output_byte_stable_and_jobs_invariant(gt_dir, tmp_path, capsys):
     # each side on its own: one box overflows only the width, one only the height
     ("det", 1, {"bbox": [10, 0, 7, 4]}, "bbox [10, 0, 7, 4] does not fit frame size 16x16"),
     ("det", 1, {"bbox": [0, 10, 4, 7]}, "bbox [0, 10, 4, 7] does not fit frame size 16x16"),
-], ids=["seg-size", "det-size", "det-empty", "det-bbox-width", "det-bbox-height"])
+]
+BAD_GEOMETRY_IDS = ["seg-size", "det-size", "det-empty", "det-bbox-width", "det-bbox-height"]
+
+
+@pytest.mark.parametrize("mode, frame_id, geometry, message", BAD_GEOMETRY, ids=BAD_GEOMETRY_IDS)
 def test_eval_rejects_bad_prediction_geometry(gt_dir, tmp_path, capsys,
                                               mode, frame_id, geometry, message):
     preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
@@ -202,7 +206,7 @@ def test_eval_accepts_bbox_on_frame_edge(gt_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("mode, frame_id, geometry, message", [
+BAD_RECORD = [
     ("seg", 1, {"mask": {"size": [10, 10], "counts": [0, 100]}},
      "prediction 2 (vid01, 1) triplet 50: mask size 10x10 does not match frame size 16x16"),
     ("seg", 99, {"bbox": [0, 0, 4, 4]},
@@ -211,7 +215,11 @@ def test_eval_accepts_bbox_on_frame_edge(gt_dir, tmp_path, capsys):
      "prediction 2 (vid01, 99) triplet 50: empty mask and no bbox"),
     ("det", 1, {"bbox": [10, 0, 7, 4]},
      "prediction 2 (vid01, 1) triplet 50: bbox [10, 0, 7, 4] does not fit frame size 16x16"),
-], ids=["seg-size", "seg-maskless", "det-empty", "det-bbox"])
+]
+BAD_RECORD_IDS = ["seg-size", "seg-maskless", "det-empty", "det-bbox"]
+
+
+@pytest.mark.parametrize("mode, frame_id, geometry, message", BAD_RECORD, ids=BAD_RECORD_IDS)
 def test_eval_names_file_of_a_bad_record_before_matching(gt_dir, tmp_path, capsys, monkeypatch,
                                                          mode, frame_id, geometry, message):
     from tripletseg import evaluation
@@ -229,6 +237,32 @@ def test_eval_names_file_of_a_bad_record_before_matching(gt_dir, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {preds}: {message}"]
     assert captured.out == "" and calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "at, mode, frame_id, geometry",
+    [(1, *case[:3]) for case in BAD_GEOMETRY] + [(2, *case[:3]) for case in BAD_RECORD],
+    ids=[f"rejects-{i}" for i in BAD_GEOMETRY_IDS] + [f"names-{i}" for i in BAD_RECORD_IDS])
+def test_reader_states_the_geometry_rule_of_match(gt_dir, tmp_path, schema,
+                                                 at, mode, frame_id, geometry):
+    # the reader's error is the one evaluate raises on the same records, with
+    # the file's path in front: one rule, written once
+    from tripletseg.dataset_io import read_ground_truth, read_predictions
+    from tripletseg.errors import EvaluationError
+    from tripletseg.evaluation import EvalConfig, evaluate
+
+    preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
+    records = json.loads(preds.read_text())
+    records.insert(at, {"video_id": "vid01", "frame_id": frame_id,
+                        "triplet_id": 50, "score": 0.5, **geometry})
+    preds.write_text(json.dumps(records))
+    frames = read_ground_truth(gt_dir, schema)
+    sizes = {(r.video_id, r.frame_id): (r.height, r.width) for r in frames}
+    with pytest.raises(EvaluationError) as read_error:
+        read_predictions(preds, mode, schema, sizes)
+    with pytest.raises(EvaluationError) as evaluate_error:
+        evaluate(frames, read_predictions(preds, mode, schema), EvalConfig(mode=mode), schema)
+    assert str(read_error.value) == f"{preds}: {evaluate_error.value}"
 
 
 # a JSON object that gives a key twice is an error in every input file
@@ -335,6 +369,76 @@ def test_duplicate_key_reported_in_file_order(gt_dir, tmp_path, capsys):
     preds.write_text(f'{{"a": 1, "a": 2}}')
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {preds}: duplicate key 'a'"]
+
+
+# one malformed input per raise site that the tests above do not reach
+
+
+def _video_fault(edit, message):
+    """``stats`` on the ground truth after ``edit`` rewrote vid01.json's document."""
+    def make(gt_dir, tmp_path):
+        path = gt_dir / "vid01.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["stats", "--gt", str(gt_dir)], f"{path}: {message}"
+    return make
+
+
+def _schema_fault(text, message):
+    """``stats`` with ``text`` as its --schema file."""
+    def make(gt_dir, tmp_path):
+        path = tmp_path / "schema.csv"
+        path.write_text(text)
+        return ["stats", "--gt", str(gt_dir), "--schema", str(path)], f"{path}{message}"
+    return make
+
+
+def _empty_gt(gt_dir, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    return ["stats", "--gt", str(empty)], f"{empty}: no video JSON files"
+
+
+def _three_number_bbox(gt_dir, tmp_path):
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps([{"video_id": "vid01", "frame_id": 0, "triplet_id": 0,
+                                  "score": 0.5, "bbox": [0, 0, 2]}]))
+    return (["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", "det"],
+            f"{preds}[0].bbox: must be [x, y, w, h] integers")
+
+
+def _overflowing_difference(gt_dir, tmp_path):
+    values_a, values_b = tmp_path / "a.json", tmp_path / "b.json"
+    values_a.write_text("[1e308, 1.0]")
+    values_b.write_text("[-1e308, 0.0]")
+    return (["compare", "--values-a", str(values_a), "--values-b", str(values_b)],
+            "non-finite difference")
+
+
+SCHEMA_HEADER = "triplet_id,instrument_id,verb_id,target_id,instrument_name,verb_name,target_name\n"
+
+
+@pytest.mark.parametrize("make", [
+    _video_fault(lambda doc: [doc], "top level must be an object"),
+    _video_fault(lambda doc: {**doc, "frames": [doc["frames"][0],
+                                                {**doc["frames"][1], "frame_id": 0}]},
+                 "frames[1]: duplicate frame_id 0"),
+    _video_fault(lambda doc: {**doc, "frames": [{**doc["frames"][0], "instances": {}}]},
+                 "frames[0].instances: must be an array"),
+    _empty_gt,
+    _three_number_bbox,
+    _schema_fault("", ": empty schema file"),
+    _schema_fault(SCHEMA_HEADER, ": no triplet rows"),
+    _schema_fault(SCHEMA_HEADER + "0,0,0,0,grasper,grasp\n", ":2: expected 7 fields, got 6"),
+    _overflowing_difference,
+], ids=["gt-top-level", "gt-duplicate-frame", "gt-instances", "gt-empty-directory",
+        "preds-bbox", "schema-empty", "schema-header-only", "schema-six-fields",
+        "values-overflow"])
+def test_each_input_fault_exits_1_with_one_error_line(gt_dir, tmp_path, capsys, make):
+    argv, message = make(gt_dir, tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("form, flags, message", [
@@ -943,6 +1047,37 @@ def test_compare_rejects_b_before_matching_a(gt_dir, tmp_path, capsys, perfect_d
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'b.json'}: prediction 0 ")
     assert calls == []
+
+
+@pytest.mark.parametrize("command, mode, side", [
+    ("eval", "seg", "a.json"), ("eval", "det", "a.json"),
+    ("compare", "seg", "a.json"), ("compare", "seg", "b.json"),
+    ("compare", "det", "a.json"), ("compare", "det", "b.json"),
+])
+def test_geometry_fault_reported_before_a_later_decode_fault(gt_dir, tmp_path, capsys, perfect_docs,
+                                                             command, mode, side):
+    from tripletseg.stats import partition_frames
+
+    keys = [(d["video_id"], d["frame_id"]) for d in perfect_docs]
+    vid, fid = partition_frames(keys, 3, 1, 11).subsets[0][0]  # a frame compare scores
+    docs = {name: list(perfect_docs) for name in ("a.json", "b.json")}
+    bad = docs[side]
+    # record 1 decodes but does not fit its frame; record 3 does not decode
+    bad[1] = {**bad[1], "video_id": vid, "frame_id": fid,
+              "mask": {"size": [10, 10], "counts": [0, 100]}}
+    bad[3] = {**bad[3], "score": 1.5}
+    if command == "eval":
+        (tmp_path / side).write_text(json.dumps(bad))
+        argv = ["eval", "--gt", str(gt_dir), "--preds", str(tmp_path / side), "--mode", mode,
+                "--out", str(tmp_path / "cmp.json")]
+    else:
+        argv = _compare_argv(gt_dir, tmp_path, docs["a.json"], docs["b.json"], mode)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / side}: prediction 1 ({vid}, {fid}) triplet {bad[1]['triplet_id']}: "
+        f"mask size 10x10 does not match frame size {H}x{W}"]
+    assert captured.out == "" and not (tmp_path / "cmp.json").exists()
 
 
 def test_compare_identical_predictions_errors(gt_dir, tmp_path, capsys):

@@ -152,6 +152,14 @@ def test_mask_size_must_match_frame(tmp_path, schema):
         read_ground_truth(tmp_path, schema)
 
 
+def test_writer_rejects_a_video_of_two_frame_sizes(tmp_path):
+    frames = [FrameRecord("v", f, w, 8, (), ()) for f, w in enumerate((6, 7))]
+    with pytest.raises(DatasetError) as info:
+        write_ground_truth(frames, tmp_path / "gt")
+    assert str(info.value) == "video v: inconsistent frame sizes [(6, 8), (7, 8)]"
+    assert not (tmp_path / "gt" / "v.json").exists()
+
+
 def test_write_read_round_trip_byte_stable(tmp_path, gt_dir, schema):
     frames = read_ground_truth(gt_dir, schema)
     out1 = tmp_path / "out1"

@@ -333,6 +333,32 @@ def test_score_scale_invariance(schema, mode, averaging):
         assert json.dumps(b.to_json_dict()) == json.dumps(a.to_json_dict()), seed
 
 
+@pytest.mark.parametrize("averaging", ["pooled", "per_video"])
+@pytest.mark.parametrize("mode", ["seg", "det", "rec"])
+def test_record_on_an_unknown_frame_scored_last_changes_no_ap(schema, mode, averaging):
+    # a false positive ranked below every other row adds no precision at any
+    # true positive, whether it joins a video's ranking or starts a video
+    # without ground truth; rec ignores records on unknown frames
+    config = EvalConfig(mode=mode, averaging=averaging)
+
+    def aps(report):
+        return {c: (r.mAP, r.per_class) for c, r in report.components.items()}
+
+    for seed in range(4):
+        frames, preds, rec = _many_videos(np.random.default_rng(seed), schema, n_parts=4)
+        data = rec if mode == "rec" else preds
+        before = evaluate(frames, data, config, schema)
+        scores = [s for r in rec for s in r.scores] if mode == "rec" else [p.score for p in preds]
+        low = min(scores) / 2
+        gt = next(g for r in frames for g in r.instances if g.triplet_id is not None)
+        for key in ((frames[-1].video_id, frames[-1].frame_id + 1), ("unseen", 0)):
+            extra = (RecognitionRecord(*key, (low,) * schema.n_triplets) if mode == "rec"
+                     else _det(*key, gt.triplet_id, low, mask=gt.mask))
+            after = evaluate(frames, [extra, *data], config, schema)
+            assert aps(after) == aps(before), (seed, key)
+            assert after.frame_count == before.frame_count
+
+
 def test_seg_mode_requires_masks(schema):
     frames = [_frame("v", 0, [(0, _mask(0, 0))], schema)]
     preds = [_det("v", 0, 0, 0.9, bbox=BBox(0, 0, 4, 4))]

@@ -183,6 +183,18 @@ def test_wilcoxon_exact_too_large():
         wilcoxon_one_sided(x, y, method="exact")
 
 
+@pytest.mark.parametrize("n", [1, 2, 21, 50, 200])
+def test_normal_approx_of_all_tied_differences_is_finite(n):
+    # the tie correction is largest when all n differences tie; the variance
+    # is then n(n+1)(2n+1)/24 - (n^3 - n)/48 = n(n+1)^2/16 > 0
+    for signs in ([1.0] * n, [(-1.0) ** i for i in range(n)]):
+        result = wilcoxon_one_sided(signs, [0.0] * n, method="normal_approx")
+        w = (n + 1) / 2 * signs.count(1.0)
+        z = (w - 0.5 - n * (n + 1) / 4) / math.sqrt(n * (n + 1) ** 2 / 16)
+        assert result.n_effective == n and math.isfinite(result.p_value)
+        assert result.p_value == pytest.approx(0.5 * math.erfc(z / math.sqrt(2)), rel=1e-12)
+
+
 def test_exact_and_normal_agree_midsize(rng):
     # with moderate n and mixed signs the two routes agree closely
     for n in (15, 17, 20):
