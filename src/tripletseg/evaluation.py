@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Collection
-from itertools import compress, count, repeat
+from itertools import compress, count
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .dataset_io import DetectionRecord, FrameRecord, RecognitionRecord, pred_geometry
@@ -237,12 +237,11 @@ class MatchTable(NamedTuple):
 def _class_indices(
     schema: TripletSchema, triplet_ids: Sequence[int], component: str
 ) -> list[int]:
-    """Dense class index of each triplet id; ids outside the schema raise."""
-    index = {t: k for t, k in enumerate(schema.class_index[component]) if k >= 0}
-    out = list(map(index.get, triplet_ids, repeat(-1)))
-    if -1 in out:
-        raise SchemaError(f"unknown triplet_id {triplet_ids[out.index(-1)]}")
-    return out
+    """Dense class index of each triplet id; the first id outside the schema raises."""
+    try:
+        return list(map(schema.class_index[component].__getitem__, triplet_ids))
+    except KeyError as exc:
+        raise SchemaError(f"unknown triplet_id {exc.args[0]}") from None
 
 
 def _match_grounded(

@@ -6,7 +6,8 @@ combination gets a dense ``triplet_id``. The schema maps triplet ids to
 their component ids and supports projecting a triplet onto any of the six
 component spaces used for evaluation: ``i``, ``v``, ``t``, ``iv``, ``it``
 and ``ivt``. Within each component the realized classes also get a dense
-class index, assigned in sorted key order, for array-based evaluation.
+class index, assigned in sorted key order, which the evaluation's match
+table is keyed by.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ class TripletSchema:
     the triplet table but are still part of the declared class count.
     ``class_keys[component]`` lists the component keys reachable from the
     triplet table in sorted order; a key's position is its class index,
-    and ``class_index[component]`` maps each triplet id to it. Schemas
-    compare by their eight given fields.
+    and ``class_index[component]`` maps each triplet id of the table, and
+    no other id, to it. Schemas compare by their eight given fields.
     """
 
     _FIELDS = ("n_triplets", "n_instruments", "n_verbs", "n_targets",
                "triplets", "instrument_names", "verb_names", "target_names")
-    # class_keys and class_index derive from triplets; class_index holds -1
-    # for ids not in the table
+    # class_keys and class_index derive from triplets; each class_index map
+    # holds exactly the table's triplet ids
     __slots__ = (*_FIELDS, "class_keys", "class_index")
 
     def __init__(
@@ -64,15 +65,14 @@ class TripletSchema:
                  triplets, instrument_names, verb_names, target_names)
         for name, value in zip(self._FIELDS, given):
             object.__setattr__(self, name, value)
+        # each triplet's key in every component, in COMPONENTS order
+        projected = {tid: (i, v, t, (i, v), (i, t), tid)
+                     for tid, (i, v, t) in triplets.items()}
         keys, index = {}, {}
-        for comp in COMPONENTS:
-            projected = {tid: self.project(tid, comp) for tid in triplets}
-            keys[comp] = tuple(sorted(set(projected.values())))
+        for n, comp in enumerate(COMPONENTS):
+            keys[comp] = tuple(sorted({key[n] for key in projected.values()}))
             rank = {key: k for k, key in enumerate(keys[comp])}
-            index[comp] = tuple(
-                rank[projected[tid]] if tid in projected else -1
-                for tid in range(max(triplets, default=-1) + 1)
-            )
+            index[comp] = {tid: rank[key[n]] for tid, key in projected.items()}
         object.__setattr__(self, "class_keys", keys)
         object.__setattr__(self, "class_index", index)
 
@@ -94,20 +94,9 @@ class TripletSchema:
         if component not in COMPONENTS:
             raise SchemaError(f"unknown component {component!r}")
         try:
-            i, v, t = self.triplets[triplet_id]
+            return self.class_keys[component][self.class_index[component][triplet_id]]
         except KeyError:
             raise SchemaError(f"unknown triplet_id {triplet_id}") from None
-        if component == "i":
-            return i
-        if component == "v":
-            return v
-        if component == "t":
-            return t
-        if component == "iv":
-            return (i, v)
-        if component == "it":
-            return (i, t)
-        return triplet_id
 
     def triplet_name(self, triplet_id: int) -> str:
         i, v, t = self.triplets[triplet_id]

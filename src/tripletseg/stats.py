@@ -50,8 +50,6 @@ class _Xoshiro256StarStar:
         for _ in range(4):
             sm, word = _splitmix64(sm)
             state.append(word)
-        if not any(state):
-            state[0] = 1  # the all-zero state is a fixed point
         self._s = state
 
     def next_u64(self) -> int:

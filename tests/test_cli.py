@@ -9,15 +9,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tripletseg
 from oracles import brute_wilcoxon_one_sided
-from synth import rect_rle
+from synth import micro_instance, rect_rle
 from tripletseg.cli import main
 from tripletseg.dataset_io import (
     FrameRecord,
@@ -164,6 +166,35 @@ def test_eval_output_byte_stable_and_jobs_invariant(gt_dir, tmp_path, capsys):
         outputs.append(out_file.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_unused_triplet_at_the_largest_id_leaves_reports_unchanged(tmp_path, capsys, schema):
+    frames, preds = [], []
+    rng = np.random.default_rng(27)
+    for part in range(6):
+        part_frames, part_preds = micro_instance(rng, schema)
+        frames += [r._replace(video_id=f"p{part}{r.video_id}") for r in part_frames]
+        preds += [p._replace(video_id=f"p{part}{p.video_id}") for p in part_preds]
+    write_ground_truth(frames, tmp_path / "gt")
+    pred_file = tmp_path / "preds.json"
+    pred_file.write_text(json.dumps([{**p._asdict(), "mask": p.mask.to_json_dict()}
+                                     for p in preds]))
+    # the packaged vocabulary plus a triplet no record uses, at the largest id a schema holds
+    sparse = tmp_path / "sparse_schema.csv"
+    packaged = resources.files("tripletseg").joinpath("data/triplet_schema.csv")
+    sparse.write_text(packaged.read_text(encoding="utf-8")
+                      + "65535,0,0,5,grasper,grasp,blood_vessel\n", encoding="utf-8")
+    for mode in ("seg", "det"):
+        for averaging in ("pooled", "per_video"):
+            outputs = []
+            for name, flags in (("default", []), ("sparse", ["--schema", str(sparse)])):
+                out = tmp_path / f"{mode}_{averaging}_{name}.json"
+                assert main(["eval", "--gt", str(tmp_path / "gt"), "--preds", str(pred_file),
+                             "--mode", mode, "--averaging", averaging, "--out", str(out),
+                             *flags]) == 0
+                outputs.append((out.read_bytes(), capsys.readouterr()))
+            assert outputs[0] == outputs[1], (mode, averaging)
+            assert len(json.loads(outputs[0][0])["components"]["IVT"]["per_class"]) > 1
 
 
 BAD_GEOMETRY = [
@@ -414,6 +445,35 @@ def _overflowing_difference(gt_dir, tmp_path):
             "non-finite difference")
 
 
+def _first_instance(**fields):
+    """A ``_video_fault`` edit setting ``fields`` on the first frame's first instance."""
+    def edit(doc):
+        doc["frames"][0]["instances"][0].update(fields)
+        return doc
+    return edit
+
+
+def _preds_fault(mode, text, message):
+    """``eval --mode mode`` on a prediction file holding ``text``."""
+    def make(gt_dir, tmp_path):
+        preds = tmp_path / "preds.json"
+        preds.write_text(text)
+        return (["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", mode],
+                f"{preds}{message}")
+    return make
+
+
+def _values_a_alone(gt_dir, tmp_path):
+    values = tmp_path / "a.json"
+    values.write_text("[1.0, 2.0]")
+    return ["compare", "--values-a", str(values)], "both --values-a and --values-b are required"
+
+
+def _compare_without_gt(gt_dir, tmp_path):
+    preds = str(_write_perfect_preds(gt_dir, tmp_path / "preds.json"))
+    return ["compare", "--preds-a", preds, "--preds-b", preds], "--gt is required"
+
+
 SCHEMA_HEADER = "triplet_id,instrument_id,verb_id,target_id,instrument_name,verb_name,target_name\n"
 
 
@@ -430,9 +490,26 @@ SCHEMA_HEADER = "triplet_id,instrument_id,verb_id,target_id,instrument_name,verb
     _schema_fault(SCHEMA_HEADER, ": no triplet rows"),
     _schema_fault(SCHEMA_HEADER + "0,0,0,0,grasper,grasp\n", ":2: expected 7 fields, got 6"),
     _overflowing_difference,
+    _values_a_alone,
+    _compare_without_gt,
+    _preds_fault("seg", "{}", ": top level must be an array of records"),
+    _preds_fault("det", json.dumps([{"video_id": "vid01", "frame_id": 0, "triplet_id": 0,
+                                     "score": 0.5, "bbox": [0, 0, 0, 4]}]),
+                 "[0].bbox: box size 0x4 must be at least 1x1"),
+    _video_fault(_first_instance(instrument_id=6),
+                 "frames[0].instances[0].instrument_id: 6 outside [0, 6)"),
+    _video_fault(_first_instance(flags="x"),
+                 "frames[0].instances[0].flags: must be a list of strings"),
+    _video_fault(_first_instance(mask={"size": [0, 4], "counts": [0]}),
+                 "frames[0].instances[0].mask: mask size 0x4 must be positive"),
+    _video_fault(lambda doc: {**doc, "width": 0}, "frame size 0x16 must be positive"),
+    _video_fault(lambda doc: {**doc, "frames": [{**doc["frames"][0], "frame_triplets": [100]}]},
+                 "frames[0].frame_triplets[0]: unknown triplet 100"),
 ], ids=["gt-top-level", "gt-duplicate-frame", "gt-instances", "gt-empty-directory",
         "preds-bbox", "schema-empty", "schema-header-only", "schema-six-fields",
-        "values-overflow"])
+        "values-overflow", "values-a-alone", "compare-without-gt", "preds-object",
+        "preds-bbox-width", "gt-instrument", "gt-flags", "gt-mask-size", "gt-width",
+        "gt-frame-triplet"])
 def test_each_input_fault_exits_1_with_one_error_line(gt_dir, tmp_path, capsys, make):
     argv, message = make(gt_dir, tmp_path)
     assert main(argv) == 1

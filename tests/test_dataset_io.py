@@ -418,6 +418,14 @@ def test_read_predictions_rec_wrong_length(tmp_path, schema):
         read_predictions(path, "rec", schema)
 
 
+def test_read_predictions_rejects_an_unknown_mode(tmp_path, schema):
+    path = tmp_path / "preds.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        read_predictions(path, "box", schema)
+    assert str(info.value) == "unknown mode 'box'"
+
+
 def test_mask_stream_shape_allows_missing_triplet(tmp_path, schema):
     doc = _video_doc(schema)
     for frame in doc["frames"]:

@@ -19,7 +19,7 @@ from tripletseg.dataset_io import (
     GroundedInstance,
     RecognitionRecord,
 )
-from tripletseg.errors import EvaluationError
+from tripletseg.errors import EvaluationError, SchemaError
 from tripletseg.evaluation import (
     EvalConfig,
     average_precision,
@@ -618,6 +618,22 @@ def test_recognition_record_of_wrong_length_rejected(schema, extra):
         evaluate(frames, preds, EvalConfig(mode="rec"), schema)
 
 
+def test_recognition_rejects_a_second_record_for_a_frame(schema):
+    frames = [_frame("v", 0, [], schema, extra_triplets=(0,))]
+    preds = [_rec("v", 0, {0: 0.9}, schema), _rec("v", 0, {0: 0.1}, schema)]
+    with pytest.raises(EvaluationError) as info:
+        evaluate(frames, preds, EvalConfig(mode="rec"), schema)
+    assert str(info.value) == "duplicate recognition record for frame ('v', 0)"
+
+
+@pytest.mark.parametrize("evaluator, mode", [(evaluate_grounded, "rec"),
+                                             (evaluate_recognition, "seg")])
+def test_mode_evaluators_reject_the_other_mode(schema, evaluator, mode):
+    with pytest.raises(EvaluationError) as info:
+        evaluator([], [], EvalConfig(mode=mode), schema)
+    assert str(info.value) == f"{evaluator.__name__} cannot run mode {mode!r}"
+
+
 def test_recognition_projection_by_max_matches_enumeration(schema, rng):
     frames = []
     rec_map = {}
@@ -649,6 +665,33 @@ SMALL_SCHEMA = TripletSchema(
     instrument_names={0: "a", 1: "b"}, verb_names={0: "c", 1: "d"},
     target_names={0: "e", 1: "f", 2: "g"},
 )
+
+
+def _small_problem(mode, gt_tid, pred_tids):
+    """One 16x16 frame of SMALL_SCHEMA holding one GT instance (seg/det) or
+    label (rec) of triplet ``gt_tid``, and a record per id in ``pred_tids``
+    (seg/det) or a single recognition record."""
+    instance = GroundedInstance(instance_id=0, instrument_id=0, triplet_id=gt_tid,
+                                mask=_mask(0, 0))
+    frame = FrameRecord(video_id="v", frame_id=0, width=W, height=H,
+                        instances=() if mode == "rec" else (instance,),
+                        frame_triplets=(gt_tid,))
+    if mode == "rec":
+        return [frame], [RecognitionRecord("v", 0, (0.5,) * SMALL_SCHEMA.n_triplets)]
+    return [frame], [_det("v", 0, tid, 0.9, mask=_mask(0, 0)) for tid in pred_tids]
+
+
+@pytest.mark.parametrize("tid", [3, 8, -1], ids=["hole", "above", "negative"])
+@pytest.mark.parametrize("mode, side", [("seg", "gt"), ("seg", "pred"), ("det", "gt"),
+                                        ("det", "pred"), ("rec", "gt")])
+def test_match_rejects_ids_outside_the_table(mode, side, tid):
+    frames, preds = (_small_problem(mode, tid, [0]) if side == "gt"
+                     else _small_problem(mode, 0, [0, tid, 6]))
+    with pytest.raises(SchemaError) as info:
+        evaluate(frames, preds, EvalConfig(mode=mode), SMALL_SCHEMA)
+    assert str(info.value) == f"unknown triplet_id {tid}"
+
+
 # few distinct values, so scores tie, 0.0 with -0.0 among them
 TIED_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 

@@ -320,3 +320,15 @@ def test_params_validation(rng):
 def test_params_are_immutable(params):
     with pytest.raises(ValueError):
         params.gate_bias[0] = 1.0
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("key_proj", np.full((D, D), np.nan), "key_proj contains non-finite entries"),
+    ("gate_bias", np.zeros(D + 1), f"gate_bias must be ({D},), got ({D + 1},)"),
+    ("anatomy_proj", np.zeros((C, D + 1)),
+     f"anatomy_proj must have {D} output channels, got ({C}, {D + 1})"),
+], ids=["nan", "gate-bias-length", "anatomy-channels"])
+def test_params_validation_messages(params, block, value, message):
+    with pytest.raises(ValueError) as info:
+        params._replace(**{block: value})
+    assert str(info.value) == message

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from tripletseg.errors import SchemaError
@@ -41,6 +43,49 @@ def test_projection_component_consistency(schema):
         assert schema.project(tid, "it") == (
             schema.project(tid, "i"), schema.project(tid, "t")
         )
+
+
+HEADER = "triplet_id,instrument_id,verb_id,target_id,instrument_name,verb_name,target_name\n"
+PACKAGED_CSV = resources.files("tripletseg").joinpath("data/triplet_schema.csv").read_text(
+    encoding="utf-8")
+# a combination the packaged table lacks, at the largest id a schema may hold
+SPARSE_ROW = "65535,0,0,5,grasper,grasp,blood_vessel\n"
+# no triplet at ids 3 and 6
+HOLED_CSV = HEADER + "".join(f"{row}\n" for row in (
+    "0,0,0,0,a,c,e", "1,0,1,0,a,d,e", "2,1,0,1,b,c,f", "4,1,1,2,b,d,g", "5,0,0,2,a,c,g",
+    "7,1,0,0,b,c,e"))
+
+
+@pytest.fixture(params=["packaged", "holed", "sparse"])
+def vocabulary(request, tmp_path):
+    if request.param == "packaged":
+        return load_schema()
+    path = tmp_path / "vocabulary.csv"
+    path.write_text(HOLED_CSV if request.param == "holed" else PACKAGED_CSV + SPARSE_ROW,
+                    encoding="utf-8")
+    return load_schema(path)
+
+
+@pytest.mark.parametrize("component", COMPONENTS)
+def test_class_index_maps_exactly_the_table(vocabulary, component):
+    keys = {tid: dict(zip(COMPONENTS, (i, v, t, (i, v), (i, t), tid)))[component]
+            for tid, (i, v, t) in vocabulary.triplets.items()}
+    index = vocabulary.class_index[component]
+    assert set(index) == set(vocabulary.triplets)
+    assert vocabulary.class_keys[component] == tuple(sorted(set(keys.values())))
+    for tid, key in keys.items():
+        assert vocabulary.project(tid, component) == key
+        assert vocabulary.project(tid, component) == vocabulary.class_keys[component][index[tid]]
+
+
+@pytest.mark.parametrize("component", COMPONENTS)
+def test_ids_outside_the_table_are_unknown(vocabulary, component):
+    top = max(vocabulary.triplets)
+    holes = [tid for tid in range(top) if tid not in vocabulary.triplets][:1]
+    for tid in [*holes, top + 1, -1]:
+        with pytest.raises(SchemaError) as info:
+            vocabulary.project(tid, component)
+        assert str(info.value) == f"unknown triplet_id {tid}"
 
 
 def test_unknown_component_and_triplet(schema):

@@ -12,6 +12,7 @@ from oracles import brute_wilcoxon_one_sided
 from tripletseg.errors import StatsError
 from tripletseg.stats import (
     SubsetPartition,
+    _Xoshiro256StarStar,
     _median,
     compare_methods,
     partition_frames,
@@ -54,6 +55,28 @@ def test_partition_input_order_irrelevant_after_shuffle():
                             subset_size=10, seed=3)
     seen = [k for s in part.subsets for k in s]
     assert sorted(seen) == sorted(FRAME_IDS)
+
+
+# splitmix64 maps its state one to one onto its output, and the four states
+# it passes through are distinct, so at most one of the four seeded words is 0
+# and xoshiro256** never starts from its all-zero fixed point
+ZERO_FIRST_WORD_SEED = 2**64 - 0x9E3779B97F4A7C15
+
+
+def test_seed_whose_first_word_is_zero_leaves_three_nonzero_words():
+    state = _Xoshiro256StarStar(ZERO_FIRST_WORD_SEED)._s
+    assert state[0] == 0
+    assert all(state[1:])
+
+
+@pytest.mark.parametrize("seed, subsets", [
+    (ZERO_FIRST_WORD_SEED, ((6, 3, 7), (4, 8, 2), (1, 0, 9))),
+    (0, ((4, 2, 1), (7, 5, 6), (3, 9, 8))),
+    (1, ((3, 8, 0), (9, 2, 5), (6, 4, 1))),
+    (2**64 - 1, ((1, 5, 4), (9, 3, 0), (7, 6, 8))),
+], ids=["zero-first-word", "0", "1", "max"])
+def test_partition_subsets_pinned(seed, subsets):
+    assert partition_frames(list(range(10)), 3, 3, seed).subsets == subsets
 
 
 def test_partition_insufficient_frames():
