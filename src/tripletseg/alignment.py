@@ -70,8 +70,11 @@ class AmbiguityReport(NamedTuple):
 
 def read_label_stream(path: str | Path) -> list[TripletLabelFrame]:
     """Read a label CSV with columns video_id, frame_id, triplet_id."""
+    text = read_text(path)
+    if text.startswith("\ufeff"):
+        raise DatasetError(f"{path}: starts with a UTF-8 byte order mark")
     try:
-        rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise DatasetError(f"{path}: {exc}") from exc
     if not rows:

@@ -7,9 +7,9 @@ zero count. Canonical form allows a zero count only at index 0 and never
 a trailing zero, so encodings are unique and comparable.
 
 IoU is computed exactly, one matrix between two lists of masks, by merging
-run lists in plain Python integers; each mask's runs are listed at most
-once per matrix, and masks are never materialised as pixel arrays for that
-purpose. Counts are checked and boxes computed in plain Python too.
+run lists in plain Python integers, never pixel arrays; a matrix lists a row's
+runs at most once per row and a column's at most once per call, and takes
+areas per call. Counts are checked and boxes computed in plain Python too.
 Only ``foreground_intervals``, ``rle_decode`` and ``rle_encode`` load numpy.
 
 A validated mask stores its counts in one ``array('I')``, 4 bytes per count
@@ -40,7 +40,7 @@ class RleMask:
     may be any sequence of integers, stored as an ``array('I')``, or from 2**32
     pixels on an ``array('q')``. Masks are immutable and compare and hash by value."""
 
-    __slots__ = ("height", "width", "counts", "_area")
+    __slots__ = ("height", "width", "counts")
 
     def __init__(self, height: int, width: int, counts: Sequence[int]) -> None:
         if height < 1 or width < 1:
@@ -101,12 +101,8 @@ class RleMask:
 
     @property
     def area(self) -> int:
-        """Number of foreground pixels, summed once."""
-        try:
-            return self._area
-        except AttributeError:
-            object.__setattr__(self, "_area", sum(self.counts[1::2]))
-            return self._area
+        """Number of foreground pixels."""
+        return sum(self.counts[1::2])
 
     @classmethod
     def from_json_dict(cls, obj: Any) -> "RleMask":
@@ -235,14 +231,14 @@ def foreground_intervals(mask: RleMask) -> tuple[np.ndarray, np.ndarray]:
 def intersection_matrix(a_masks: Iterable[RleMask], b_masks: Iterable[RleMask]) -> list[list[int]]:
     """Exact foreground intersection of each (a, b) pair of same-size masks,
     one row per ``a``, by merging run lists. A pair whose spans are apart
-    lists no run, and each mask's runs are listed at most once."""
-    a_masks, b_masks = list(a_masks), list(b_masks)  # alive, so an id names one mask
-    held: dict[int, list[int]] = {}
-    b_spans = list(map(_span, b_masks))
+    lists no run; a row lists its mask's runs at most once, and a column its
+    mask's at most once per call."""
+    b_masks = list(b_masks)
+    b_spans, b_runs = list(map(_span, b_masks)), [None] * len(b_masks)
     rows = []
     for a in a_masks:
-        (a_start, a_end), row = _span(a), []
-        for b, (b_start, b_end) in zip(b_masks, b_spans):
+        (a_start, a_end), a_runs, row = _span(a), None, []
+        for k, (b, (b_start, b_end)) in enumerate(zip(b_masks, b_spans)):
             if a.height != b.height or a.width != b.width:
                 raise MaskError(
                     f"mask size mismatch: {a.height}x{a.width} vs {b.height}x{b.width}")
@@ -250,13 +246,11 @@ def intersection_matrix(a_masks: Iterable[RleMask], b_masks: Iterable[RleMask]) 
             if start >= (a_end if a_end < b_end else b_end):  # spans apart
                 row.append(0)
                 continue
-            a_bounds, b_bounds = held.get(id(a)), held.get(id(b))
-            if a_bounds is None:
-                a_bounds = held[id(a)] = _bounds(a)
-            if b_bounds is None:
-                b_bounds = held[id(b)] = _bounds(b)
-            row.append(_intersection(a_bounds, b_bounds, start) if a_end <= b_end
-                       else _intersection(b_bounds, a_bounds, start))
+            # spans that meet are not empty, so neither list of runs is
+            a_runs = a_runs or _bounds(a)
+            b_k = b_runs[k] = b_runs[k] or _bounds(b)
+            row.append(_intersection(a_runs, b_k, start) if a_end <= b_end
+                       else _intersection(b_k, a_runs, start))
         rows.append(row)
     return rows
 
@@ -264,9 +258,10 @@ def intersection_matrix(a_masks: Iterable[RleMask], b_masks: Iterable[RleMask]) 
 def iou_matrix(a_masks: Iterable[RleMask], b_masks: Iterable[RleMask]) -> list[list[float]]:
     """IoU of each (a, b) pair, one row per ``a``. Exactly one empty mask gives 0.0."""
     a_masks, b_masks = list(a_masks), list(b_masks)
+    b_areas = [b.area for b in b_masks]
     rows = []
-    for a, inters in zip(a_masks, intersection_matrix(a_masks, b_masks)):
-        unions = [a.area + b.area - i for b, i in zip(b_masks, inters)]
+    for a_area, inters in zip([a.area for a in a_masks], intersection_matrix(a_masks, b_masks)):
+        unions = [a_area + b_area - i for b_area, i in zip(b_areas, inters)]
         if 0 in unions:
             raise MaskError("IoU of two empty masks is undefined")
         rows.append([i / u for i, u in zip(inters, unions)])
@@ -285,21 +280,20 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     return iou
 
 
-def mask_boxes(masks: Sequence[RleMask]) -> list[BBox]:
+def mask_boxes(masks: Iterable[RleMask]) -> list[BBox]:
     """Tight bounding box of each mask's foreground; empty masks are an error.
     Runs start at the running sums before foreground counts. A run whose start
     row plus length exceeds H crosses a column, so the box spans all rows."""
-    masks = list(masks)
-    if any(len(m.counts) == 1 for m in masks):
-        raise MaskError("cannot take bounding box of an empty mask")
     boxes: list[BBox] = []
     for m in masks:
         h, counts = m.height, m.counts
+        if len(counts) == 1:
+            raise MaskError("cannot take bounding box of an empty mask")
         rows = list(map(mod, islice(accumulate(counts), 0, len(counts) - 1, 2), repeat(h)))
         stop = max(map(add, rows, counts[1::2]))
         y0, y1 = (0, h - 1) if stop > h else (min(rows), stop - 1)
-        end = h * m.width - (counts[-1] if len(counts) % 2 else 0)
-        x0, x1 = counts[0] // h, (end - 1) // h
+        start, end = _span(m)
+        x0, x1 = start // h, (end - 1) // h
         boxes.append(BBox(x=x0, y=y0, w=x1 - x0 + 1, h=y1 - y0 + 1))
     return boxes
 

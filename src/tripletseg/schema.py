@@ -152,6 +152,8 @@ def load_schema(path: str | Path | None = None) -> TripletSchema:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
         source = str(path)
+    if text.startswith("\ufeff"):
+        raise SchemaError(f"{source}: starts with a UTF-8 byte order mark")
 
     lines = text.splitlines()
     comment_lines = []

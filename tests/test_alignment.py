@@ -276,6 +276,16 @@ def test_label_stream_rejects_non_plain_integers(tmp_path, field, column):
         read_label_stream(path)
 
 
+def test_label_stream_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("video_id,frame_id,triplet_id\nv,0,3\n\n   \nv,1,4\n", encoding="utf-8")
+    assert [(f.frame_id, f.triplets) for f in read_label_stream(path)] == [(0, (3,)), (1, (4,))]
+    path.write_text("video_id,frame_id,triplet_id\nv,0,3\n\n   \nv,x,4\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        read_label_stream(path)
+    assert str(info.value) == f"{path}:5: non-integer field"
+
+
 def test_label_stream_allows_sign_and_whitespace(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("video_id,frame_id,triplet_id\nv, +12 ,\t007\n", encoding="utf-8")

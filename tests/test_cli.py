@@ -518,6 +518,72 @@ def test_each_input_fault_exits_1_with_one_error_line(gt_dir, tmp_path, capsys, 
     assert captured.out == ""
 
 
+JSON_BOM = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize("target, message", [
+    ("labels", "starts with a UTF-8 byte order mark"),
+    ("schema", "starts with a UTF-8 byte order mark"),
+    ("gt", JSON_BOM),
+    ("preds", JSON_BOM),
+], ids=["labels", "schema", "gt", "preds"])
+def test_byte_order_mark_names_the_file(gt_dir, tmp_path, capsys, target, message):
+    labels_file, masks_dir = _mask_stream(gt_dir, tmp_path)
+    schema_file = tmp_path / "schema.csv"
+    schema_file.write_bytes(
+        resources.files("tripletseg").joinpath("data/triplet_schema.csv").read_bytes())
+    preds = _write_perfect_preds(gt_dir, tmp_path / "preds.json")
+    path, argv = {
+        "labels": (labels_file, ["align", "--labels", str(labels_file),
+                                 "--masks", str(masks_dir), "--out", str(tmp_path / "aligned")]),
+        "schema": (schema_file, ["stats", "--gt", str(gt_dir), "--schema", str(schema_file)]),
+        "gt": (gt_dir / "vid01.json", ["stats", "--gt", str(gt_dir)]),
+        "preds": (preds, ["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", "seg"]),
+    }[target]
+    assert main(argv) == 0  # the same file without the mark is read
+    capsys.readouterr()
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {path}: {message}"]
+    assert captured.out == ""
+
+
+def test_empty_prediction_file(gt_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for mode in ("seg", "det"):
+        out = tmp_path / f"eval_{mode}.json"
+        assert main(["eval", "--gt", str(gt_dir), "--preds", str(empty), "--mode", mode,
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["frame_count"] == 6
+        assert all(c["mAP"] == 0.0 and c["pred_count"] == 0
+                   for c in report["components"].values())
+    # rec scores as if every ground-truth frame scored 0 for every triplet;
+    # the values themselves follow row order among the tied scores
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(json.dumps([{"video_id": v, "frame_id": f, "scores": [0.0] * 100}
+                                 for v in ("vid01", "vid02") for f in range(3)]))
+    for averaging in ("pooled", "per_video"):
+        reports = []
+        for preds, pred_count in ((empty, 0), (zeros, 6)):
+            out = tmp_path / f"eval_rec_{averaging}.json"
+            assert main(["eval", "--gt", str(gt_dir), "--preds", str(preds), "--mode", "rec",
+                         "--averaging", averaging, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert [c.pop("pred_count") for c in report["components"].values()] == [pred_count] * 6
+            reports.append(report)
+        assert reports[0] == reports[1]
+    capsys.readouterr()
+    for mode in ("seg", "det", "rec"):
+        assert main(["compare", "--gt", str(gt_dir), "--preds-a", str(empty),
+                     "--preds-b", str(empty), "--mode", mode, "--n-subsets", "2",
+                     "--subset-size", "3"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: all differences are zero; no test possible"]
+
+
 @pytest.mark.parametrize("form, flags, message", [
     ("eval", ["--components", "i,x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),
     ("pipeline", ["--metric", "x"], "unknown component 'x'; choose from i, v, t, iv, it, ivt"),

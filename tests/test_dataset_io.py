@@ -318,6 +318,15 @@ def test_read_predictions_seg(tmp_path, schema):
     assert records[1].bbox is not None
 
 
+@pytest.mark.parametrize("text", ["[]", "[ ]", "\n[\n]\n"])
+def test_read_predictions_empty_array(tmp_path, schema, text):
+    path = tmp_path / "preds.json"
+    path.write_text(text, encoding="utf-8")
+    for mode in ("seg", "det", "rec"):
+        assert read_predictions(path, mode, schema) == []
+        assert read_predictions(path, mode, schema, frame_size={("v", 0): (4, 4)}) == []
+
+
 def test_read_predictions_bbox_only_det(tmp_path, schema):
     doc = [{"video_id": "v", "frame_id": 0, "triplet_id": 3, "score": 0.5,
             "mask": None, "bbox": [1, 2, 3, 4]}]

@@ -628,8 +628,8 @@ def test_merged_intersections_match_bitmaps(pair):
 
 
 def test_matrix_of_masks_made_on_the_fly():
-    # generators are accepted; a mask dropped after its row may leave its id
-    # to the next one
+    # generators are accepted for both lists; each row's mask is made when its
+    # row starts and may be dropped before the next row's is made
     def made(shift):
         return (RleMask(height=4, width=4, counts=(k + shift, 16 - k - shift))
                 for k in range(1, 9))
@@ -640,6 +640,39 @@ def test_matrix_of_masks_made_on_the_fly():
     assert iou_matrix(made(0), made(1)) == [
         [inter / (16 - min(i, j + 1)) for j, inter in enumerate(row, 1)]
         for i, row in enumerate(expected, 1)]
+
+
+@pytest.mark.parametrize("case", ["repeated-in-a", "repeated-in-b", "in-both"])
+def test_matrices_with_a_mask_object_used_twice(rng, case):
+    # each row and each column lists its own runs, whichever object it holds
+    m, n, o = (rle_encode(random_blob(rng, 9, 7)) for _ in range(3))
+    a_masks, b_masks = {
+        "repeated-in-a": ([m, m, n], [o, n]),
+        "repeated-in-b": ([n, o], [m, n, m]),
+        "in-both": ([m, n, o], [o, m]),
+    }[case]
+    expected = [[bitmap_intersection_union(rle_decode(a), rle_decode(b)) for b in b_masks]
+                for a in a_masks]
+    assert intersection_matrix(a_masks, b_masks) == [[i for i, _ in row] for row in expected]
+    assert iou_matrix(a_masks, b_masks) == [[i / u for i, u in row] for row in expected]
+
+
+def test_matrix_rows_from_a_one_shot_generator(rng):
+    bitmaps = [random_blob(rng, 9, 7) for _ in range(8)]
+    b_masks = [rle_encode(random_blob(rng, 9, 7)) for _ in range(5)]
+    expected = [[bitmap_intersection_union(a, rle_decode(b))[0] for b in b_masks]
+                for a in bitmaps]
+    # each row's mask is made as its row starts and dropped when it ends
+    assert intersection_matrix((rle_encode(a) for a in bitmaps), b_masks) == expected
+
+
+def test_mask_holds_only_its_counts(rng):
+    assert RleMask.__slots__ == ("height", "width", "counts")
+    masks = [rle_encode(random_blob(rng, 9, 7)) for _ in range(4)]
+    iou_matrix(masks, masks[::-1])
+    mask_boxes(masks)
+    mask_intersection_union(masks[0], masks[1])
+    assert [m.area for m in masks] == [int(rle_decode(m).sum()) for m in masks]
 
 
 def test_batched_kernel_errors():

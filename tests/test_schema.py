@@ -219,6 +219,24 @@ def test_schema_header_errors_name_file_and_line(tmp_path, header, message):
     assert str(info.value) == f"{path}:2: {message}"
 
 
+@pytest.mark.parametrize("before, between, lineno", [
+    ("# a note without a value\n", "", 4),
+    ("", "\n   \n", 5),
+], ids=["comment", "blank"])
+def test_schema_skipped_lines_keep_line_numbers(tmp_path, before, between, lineno):
+    header = ("triplet_id,instrument_id,verb_id,target_id,"
+              "instrument_name,verb_name,target_name\n")
+    path = tmp_path / "schema.csv"
+    path.write_text(before + header + "0,0,0,0,a,b,c\n" + between + "1,1,1,1,d,e,f\n",
+                    encoding="utf-8")
+    assert load_schema(path).triplets == {0: (0, 0, 0), 1: (1, 1, 1)}
+    path.write_text(before + header + "0,0,0,0,a,b,c\n" + between + "1,1,1,1,d,e\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_schema(path)
+    assert str(info.value) == f"{path}:{lineno}: expected 7 fields, got 6"
+
+
 def test_schema_ids_allow_sign_and_whitespace(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text(
